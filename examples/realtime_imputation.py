@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Real-time telemetry imputation (the paper's §5 future direction).
 
-Replays a recorded coarse-telemetry stream through the
-:class:`StreamingImputer` one 50 ms interval at a time — the way a
-monitoring pipeline would deliver it — and reports the per-update latency
+Replays a recorded coarse-telemetry stream through a single-switch
+:class:`~repro.serve.StreamService` one 50 ms interval at a time — the way
+a monitoring pipeline would deliver it.  With a stride of one interval
+and no batching, every record completes a window that is imputed and
+constraint-enforced at once; the example reports the per-update latency
 against a 50 ms real-time budget (each update must finish before the next
 interval's data arrives).
 
@@ -17,10 +19,9 @@ from repro.imputation import (
     ImputationPipeline,
     ModelOverrides,
     PipelineConfig,
-    StreamingImputer,
     TrainerConfig,
 )
-from repro.imputation.streaming import stream_from_telemetry
+from repro.serve import StreamService, records_from_telemetry
 from repro.telemetry import build_dataset, sample_trace
 
 
@@ -39,7 +40,7 @@ def main() -> None:
         train,
         PipelineConfig(
             use_kal=True,
-            use_cem=False,  # the streaming wrapper applies CEM itself
+            use_cem=False,  # the service applies CEM itself
             model=ModelOverrides(d_model=32, num_layers=2, d_ff=64),
             trainer=TrainerConfig(epochs=8, batch_size=8, seed=0),
         ),
@@ -50,26 +51,26 @@ def main() -> None:
     print("\nreplaying a fresh trace as a live 50 ms telemetry stream...")
     live_trace = generate_trace(scenario, seed=99)
     telemetry = sample_trace(live_trace, scenario.interval)
-    streaming = StreamingImputer(
-        model=pipeline.model,
-        switch_config=live_trace.config,
-        scaler=dataset.scaler,
-        interval=scenario.interval,
-        window_intervals=scenario.window_intervals,
-        use_cem=True,
+    service = StreamService(
+        pipeline.model,
+        live_trace.config,
+        dataset.scaler,
+        scenario.interval,
+        scenario.window_intervals,
+        stride_intervals=1,
+        batch_windows=1,
     )
 
     budget = scenario.interval / 1000.0  # one interval of wall-clock, in s
     latencies = []
     errors = []
-    for i, measurement in enumerate(stream_from_telemetry(telemetry)):
-        update = streaming.push(measurement)
-        if update is None:
-            continue
-        latencies.append(update.latency_seconds)
-        start = update.interval_index * scenario.interval
-        truth = live_trace.qlen[:, start : start + scenario.interval]
-        errors.append(np.abs(update.imputed_latest - truth).mean())
+    for record in records_from_telemetry("live", telemetry):
+        for window in service.submit(record):
+            latencies.append(window.latency_seconds)
+            start = record.interval_index * scenario.interval
+            truth = live_trace.qlen[:, start : start + scenario.interval]
+            latest = window.values[:, -scenario.interval :]
+            errors.append(np.abs(latest - truth).mean())
 
     latencies = np.array(latencies)
     print(f"updates: {len(latencies)}")

@@ -23,12 +23,6 @@ from repro.imputation.transformer_imputer import TransformerImputer
 from repro.imputation.trainer import Trainer, TrainerConfig
 from repro.imputation.cem import CEMInfeasibleError, ConstraintEnforcer
 from repro.imputation.pipeline import ImputationPipeline, ModelOverrides, PipelineConfig
-from repro.imputation.streaming import (
-    IntervalMeasurement,
-    StreamingImputer,
-    StreamingUpdate,
-    stream_from_telemetry,
-)
 
 __all__ = [
     "Imputer",
@@ -41,8 +35,4 @@ __all__ = [
     "ImputationPipeline",
     "ModelOverrides",
     "PipelineConfig",
-    "StreamingImputer",
-    "StreamingUpdate",
-    "IntervalMeasurement",
-    "stream_from_telemetry",
 ]

@@ -8,9 +8,7 @@ The four Table-1 method variants are produced by toggling ``use_kal`` and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -47,10 +45,8 @@ class PipelineConfig:
 
     ``model`` and ``trainer`` are typed nested configs
     (:class:`ModelOverrides`, :class:`~repro.imputation.trainer.
-    TrainerConfig`).  Plain dicts are still accepted for backward
-    compatibility — converted in ``__post_init__`` with a
-    ``DeprecationWarning`` — and ``trainer.use_kal`` is always overridden
-    by this config's own ``use_kal`` flag.
+    TrainerConfig`); ``trainer.use_kal`` is always overridden by this
+    config's own ``use_kal`` flag.
 
     ``selfcheck`` re-verifies every CEM-corrected window against the
     exactness oracle (C1–C3 satisfied, sampled bins pinned, non-negative)
@@ -71,24 +67,6 @@ class PipelineConfig:
     checkpoint_every: int = 1  # epochs between checkpoint writes
     model: ModelOverrides = field(default_factory=ModelOverrides)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
-
-    def __post_init__(self):
-        if isinstance(self.model, Mapping):
-            warnings.warn(
-                "PipelineConfig.model as a dict is deprecated; pass "
-                "ModelOverrides(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.model = ModelOverrides(**self.model)
-        if isinstance(self.trainer, Mapping):
-            warnings.warn(
-                "PipelineConfig.trainer as a dict is deprecated; pass "
-                "TrainerConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.trainer = TrainerConfig(**self.trainer)
 
 
 class ImputationPipeline(Imputer):

@@ -10,8 +10,10 @@ package operationalises that:
   :class:`~repro.eval.scenarios.ScenarioConfig` s, and telemetry shifts
   (LANZ thresholding, SNMP poll loss) applied to the measurements alone;
 * :mod:`repro.robustness.degrade` — the deterministic, seedable
-  degradation injectors (:func:`degrade_sample`, vectorized
-  :func:`carry_forward`) shared with ``benchmarks/bench_robustness.py``;
+  degradation injectors (:func:`degrade_sample`) shared with
+  ``benchmarks/bench_robustness.py``; they route each window through
+  :mod:`repro.telemetry.noise`, home of LANZ thresholding and the
+  ``carry_forward`` repair of lost SNMP polls;
 * :mod:`repro.robustness.suite` — train on the paper's base mix, walk
   the grid, and emit per-method degradation curves plus the
   machine-checked claim that ``Transformer+KAL+CEM`` degrades no faster
@@ -39,7 +41,6 @@ __all__ = [
     "RobustnessConfig",
     "ShiftPoint",
     "shift_grid",
-    "carry_forward",
     "degrade_sample",
     "degrade_dataset_samples",
     "OODSentinel",
@@ -54,7 +55,6 @@ _EXPORTS = {
     "RobustnessConfig": "repro.robustness.config",
     "ShiftPoint": "repro.robustness.shift",
     "shift_grid": "repro.robustness.shift",
-    "carry_forward": "repro.robustness.degrade",
     "degrade_sample": "repro.robustness.degrade",
     "degrade_dataset_samples": "repro.robustness.degrade",
     "OODSentinel": "repro.robustness.sentinel",

@@ -5,8 +5,10 @@ reports queues above a configured threshold (§2.1's footnote), and SNMP
 polls get lost in flight, with collectors papering over the hole by
 repeating the last delivered value.  These injectors reproduce both
 defects on an :class:`~repro.telemetry.dataset.ImputationSample` so the
-robustness suite (and ``benchmarks/bench_robustness.py`` — one shared
-implementation) can measure how each method degrades under them.
+robustness suite (and ``benchmarks/bench_robustness.py``) can measure how
+each method degrades under them.  The degradations themselves live in
+:mod:`repro.telemetry.noise`; this module only routes a window through
+them and rebuilds its features.
 
 Everything here is deterministic given the RNG: the same seed produces
 the same degraded window, bit for bit, which is what lets the shift grid
@@ -17,46 +19,12 @@ regression sentinels.
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
 
 import numpy as np
 
 from repro.telemetry.dataset import FeatureScaler, ImputationSample, build_features
+from repro.telemetry.noise import apply_lanz_threshold, drop_snmp_intervals
 from repro.telemetry.sampling import CoarseTelemetry
-
-RngLike = Union[int, np.random.Generator]
-
-
-def _as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def carry_forward(values: np.ndarray, lost: np.ndarray) -> np.ndarray:
-    """Operator fallback for lost counter polls: repeat the last delivered value.
-
-    ``values`` is any ``(..., intervals)`` array and ``lost`` a boolean
-    mask of the same shape; wherever ``lost`` is set, the value is
-    replaced by the most recent non-lost value at a lower interval index
-    (losses chain: a run of lost polls all report the value preceding the
-    run).  A loss at interval 0 has nothing to carry and keeps its
-    original value — identical semantics to the per-interval loop this
-    vectorized forward-fill replaced.
-    """
-    values = np.asarray(values)
-    lost = np.asarray(lost, dtype=bool)
-    if lost.shape != values.shape:
-        raise ValueError(
-            f"lost mask shape {lost.shape} does not match values {values.shape}"
-        )
-    if values.size == 0:
-        return values.copy()
-    keep = ~lost
-    keep[..., 0] = True  # interval 0 keeps its value (nothing earlier to carry)
-    source = np.where(keep, np.arange(values.shape[-1]), 0)
-    np.maximum.accumulate(source, axis=-1, out=source)
-    return np.take_along_axis(values, source, axis=-1)
 
 
 def degrade_sample(
@@ -65,18 +33,17 @@ def degrade_sample(
     *,
     lanz_threshold: float = 0.0,
     snmp_loss: float = 0.0,
-    rng: RngLike | None = None,
+    rng: int | np.random.Generator | None = None,
 ) -> ImputationSample:
     """Apply LANZ thresholding / SNMP poll loss to one window's measurements.
 
     * ``lanz_threshold`` — LANZ only reports per-interval maxima above the
-      threshold; suppressed entries fall back to the periodic sample (the
-      best lower bound the operator still has, and the value that keeps
-      the measurement set self-consistent: ``m_max >= m_sample``).
+      threshold (:func:`~repro.telemetry.noise.apply_lanz_threshold`).
     * ``snmp_loss`` — each port x interval counter poll is lost i.i.d.
-      with this probability; lost polls are repaired by
-      :func:`carry_forward`.  Requires ``rng`` (an int seed or a
-      ``numpy`` Generator) so every degradation is reproducible.
+      with this probability, in ``[0, 1)``; lost polls are repaired by
+      :func:`~repro.telemetry.noise.drop_snmp_intervals`.  Requires
+      ``rng`` (an int seed or a ``numpy`` Generator) so every
+      degradation is reproducible.
 
     The features are rebuilt from the degraded telemetry with the given
     ``scaler`` (use the *training* scaler when evaluating a trained
@@ -84,41 +51,36 @@ def degrade_sample(
     degradation corrupts what the model sees, not what it is scored
     against.
     """
-    m_max = sample.m_max.copy()
+    if not 0.0 <= snmp_loss < 1.0:
+        raise ValueError(f"snmp_loss must be in [0, 1), got {snmp_loss}")
+    telemetry = CoarseTelemetry(
+        interval=sample.interval,
+        qlen_sample=sample.m_sample,
+        qlen_max=sample.m_max,
+        received=sample.m_received,
+        sent=sample.m_sent,
+        dropped=sample.m_dropped,
+    )
     if lanz_threshold > 0:
-        suppressed = m_max <= lanz_threshold
-        m_max[suppressed] = sample.m_sample[suppressed]
+        telemetry = apply_lanz_threshold(telemetry, lanz_threshold)
     if snmp_loss > 0:
         if rng is None:
             raise ValueError(
                 "snmp_loss > 0 requires rng (an int seed or Generator); "
                 "the injectors are deterministic by construction"
             )
-        generator = _as_generator(rng)
-        lost = generator.random(sample.m_sent.shape) < snmp_loss
-        m_sent = carry_forward(sample.m_sent, lost)
-        m_received = carry_forward(sample.m_received, lost)
-        m_dropped = carry_forward(sample.m_dropped, lost)
-    else:
-        m_sent = sample.m_sent.copy()
-        m_received = sample.m_received.copy()
-        m_dropped = sample.m_dropped.copy()
-    telemetry = CoarseTelemetry(
-        interval=sample.interval,
-        qlen_sample=sample.m_sample,
-        qlen_max=m_max,
-        received=m_received,
-        sent=m_sent,
-        dropped=m_dropped,
-    )
+        lost = np.random.default_rng(rng).random(sample.m_sent.shape) < snmp_loss
+        telemetry = drop_snmp_intervals(telemetry, lost)
     features = build_features(telemetry, scaler, sample.num_bins)
+    # Fresh arrays even when no knob is active: the degraded window never
+    # aliases the caller's sample.
     return dataclasses.replace(
         sample,
         features=features,
-        m_max=m_max,
-        m_sent=m_sent,
-        m_received=m_received,
-        m_dropped=m_dropped,
+        m_max=telemetry.qlen_max.copy(),
+        m_sent=telemetry.sent.copy(),
+        m_received=telemetry.received.copy(),
+        m_dropped=telemetry.dropped.copy(),
     )
 
 

@@ -17,7 +17,7 @@ paper's constraint story exists to prevent.  Violations raise
 Deployments that cannot resequence opt into a
 :class:`DegradedStreamPolicy`: small gaps can be repaired by carrying
 the last delivered record forward (the operator fallback
-:mod:`repro.robustness.degrade` models), larger gaps can drop the
+:func:`repro.telemetry.noise.carry_forward` models), larger gaps can drop the
 partial window (``skip``) or resynchronise the stream at the new index
 (``reset``) — never silently: every degraded-mode event increments a
 ``serve.degraded.*`` counter and the per-assembler
@@ -74,7 +74,7 @@ class DegradedStreamPolicy:
     * ``repair_intervals`` — gaps of at most this many intervals are
       healed *before* ``on_gap`` applies, by carrying the switch's last
       delivered record forward (the same operator fallback
-      :func:`repro.robustness.degrade.carry_forward` models for lost
+      :func:`repro.telemetry.noise.carry_forward` models for lost
       SNMP polls).  0 disables repair.
 
     The default policy is indistinguishable from no policy: every action
@@ -286,7 +286,7 @@ class WindowAssembler:
         if 0 < gap <= policy.repair_intervals and state.buffer:
             # Carry-forward repair: re-deliver the last record for each
             # missing interval (same fallback a collector applies for
-            # lost SNMP polls — see repro.robustness.degrade).
+            # lost SNMP polls — see repro.telemetry.noise.carry_forward).
             last = state.buffer[-1]
             tasks: list[WindowTask] = []
             with obs.span(

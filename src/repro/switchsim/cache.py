@@ -22,12 +22,6 @@ garbage-collected with :meth:`TraceCache.clear`).  Callers that change
 their own revision marker in the params (see ``traffic_rev`` in
 :mod:`repro.eval.scenarios`).
 
-Entries written before the unified digest existed (PR 1–3) used a
-different hash of the same canonical encoding; :meth:`TraceCache.get`
-transparently re-maps such entries to their new key on first access
-(:func:`legacy_trace_key`), so adopting the unified digest does not
-invalidate warm on-disk caches.
-
 The cache directory defaults to the ``REPRO_TRACE_CACHE`` environment
 variable, falling back to ``~/.cache/repro/traces``.  Writes go through a
 temporary file plus :func:`os.replace`, so concurrent writers (e.g. the
@@ -37,8 +31,6 @@ corrupt an entry.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import tempfile
 import warnings
@@ -47,7 +39,7 @@ from pathlib import Path
 from typing import Any, Mapping, Union
 
 import repro.obs as obs
-from repro.config import canonicalize, config_digest
+from repro.config import config_digest
 from repro.switchsim.io import load_trace, save_trace
 from repro.switchsim.simulation import SimulationTrace
 
@@ -75,21 +67,6 @@ def trace_key(params: Mapping[str, Any]) -> str:
     return config_digest(payload, kind="trace_cache")[:32]
 
 
-def legacy_trace_key(params: Mapping[str, Any]) -> str:
-    """The PR 1–3 key scheme, kept verbatim for on-disk cache migration.
-
-    :meth:`TraceCache.get` uses this to find entries written before
-    :func:`repro.config.config_digest` unified the hashing paths and
-    adopt them under their new key (an ``os.replace``, not a copy).
-    """
-    payload = {
-        "__trace_cache_version__": TRACE_CACHE_VERSION,
-        "params": canonicalize(dict(params)),
-    }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:32]
-
-
 class TraceCache:
     """Content-addressed store of :class:`SimulationTrace` archives.
 
@@ -109,7 +86,6 @@ class TraceCache:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
-        self.migrated = 0  # legacy-key entries adopted under their new key
 
     def cache_stats(self) -> dict[str, int]:
         """This instance's lifetime counters as a plain dict.
@@ -124,7 +100,6 @@ class TraceCache:
             "misses": self.misses,
             "stores": self.stores,
             "quarantined": self.quarantined,
-            "migrated": self.migrated,
         }
 
     def path_for(self, params: Mapping[str, Any]) -> Path:
@@ -139,16 +114,9 @@ class TraceCache:
         evidence survives for diagnosis and the next ``put`` re-populates
         the slot cleanly) and the caller re-simulates.  A truncated
         ``.npz`` must never kill a sweep — it costs one re-simulation.
-
-        An entry stored under the pre-unification key scheme (PR 1–3) is
-        adopted in place: renamed to its :func:`trace_key` path and read
-        normally, so a warm cache survives the digest migration without
-        a single re-simulation.
         """
         with obs.span("cache.get") as span:
             path = self.path_for(params)
-            if not path.exists():
-                self._adopt_legacy_entry(params, path)
             if path.exists():
                 try:
                     trace = load_trace(path)
@@ -171,21 +139,6 @@ class TraceCache:
             obs.counter("cache.misses").inc()
             span.annotate(outcome="miss")
             return None
-
-    def _adopt_legacy_entry(self, params: Mapping[str, Any], path: Path) -> None:
-        """Re-map a PR-3-era cache entry to its unified-digest key."""
-        legacy = self.root / f"{legacy_trace_key(params)}.npz"
-        if not legacy.exists():
-            return
-        try:
-            os.replace(legacy, path)
-        except OSError:
-            # A concurrent reader may have adopted it first; if the new
-            # path now exists the caller still gets its hit, otherwise
-            # this is simply the miss it would have been.
-            return
-        self.migrated += 1
-        obs.counter("cache.migrated").inc()
 
     def _quarantine(self, path: Path, exc: BaseException) -> None:
         """Move an unreadable entry out of the addressable namespace."""

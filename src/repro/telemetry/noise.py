@@ -10,7 +10,10 @@ the scarcity or bias of datasets"*.
 
 Degradations keep the telemetry *internally consistent* (max >= sample
 everywhere) so constraint checking stays well-posed; missing values are
-encoded per the conventions of each tool (see each function).
+encoded per the conventions of each tool (see each function).  This is
+the only implementation of LANZ thresholding and lost-poll repair: the
+robustness injectors (:mod:`repro.robustness.degrade`) and the serve
+gap repair (:mod:`repro.serve.windows`) share its semantics.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import dataclasses
 import numpy as np
 
 from repro.telemetry.sampling import CoarseTelemetry
-from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_non_negative
 
 
@@ -40,42 +42,44 @@ def apply_lanz_threshold(telemetry: CoarseTelemetry, threshold: int) -> CoarseTe
     return out
 
 
-def drop_snmp_intervals(
-    telemetry: CoarseTelemetry, loss_probability: float, seed: RngLike = None
-) -> tuple[CoarseTelemetry, np.ndarray]:
-    """Lose whole SNMP reports (per port-interval) with the given probability.
+def carry_forward(values: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """Operator fallback for lost counter polls: repeat the last delivered value.
 
-    Lost counters are linearly interpolated from the neighbouring intervals
-    of the same port (the standard operator fallback), so downstream code
-    keeps working; the boolean mask of lost cells is returned so
-    experiments can condition on it.
+    ``values`` is any ``(..., intervals)`` array and ``lost`` a boolean
+    mask of the same shape; wherever ``lost`` is set, the value is
+    replaced by the most recent non-lost value at a lower interval index
+    (losses chain: a run of lost polls all report the value preceding the
+    run).  A loss at interval 0 has nothing to carry and keeps its
+    original value.  Always returns a fresh array.
     """
-    if not 0.0 <= loss_probability < 1.0:
-        raise ValueError(f"loss_probability must be in [0, 1), got {loss_probability}")
-    rng = as_generator(seed)
-    lost = rng.random(telemetry.sent.shape) < loss_probability
+    values = np.asarray(values)
+    lost = np.asarray(lost, dtype=bool)
+    if lost.shape != values.shape:
+        raise ValueError(
+            f"lost mask shape {lost.shape} does not match values {values.shape}"
+        )
+    if values.size == 0:
+        return values.copy()
+    keep = ~lost
+    keep[..., 0] = True  # interval 0 keeps its value (nothing earlier to carry)
+    source = np.where(keep, np.arange(values.shape[-1]), 0)
+    np.maximum.accumulate(source, axis=-1, out=source)
+    return np.take_along_axis(values, source, axis=-1)
 
-    def interpolate(series: np.ndarray) -> np.ndarray:
-        out = series.astype(float).copy()
-        for port in range(series.shape[0]):
-            missing = lost[port]
-            if missing.all():
-                out[port] = 0.0
-                continue
-            if missing.any():
-                x = np.arange(series.shape[1])
-                out[port, missing] = np.interp(
-                    x[missing], x[~missing], out[port, ~missing]
-                )
-        return np.round(out)
 
-    out = dataclasses.replace(
+def drop_snmp_intervals(telemetry: CoarseTelemetry, lost: np.ndarray) -> CoarseTelemetry:
+    """Lose the SNMP reports marked in ``lost`` (a ``(ports, intervals)`` mask).
+
+    Each lost port-interval poll is repaired by :func:`carry_forward`,
+    the standard collector fallback, applied to ``received``, ``sent``
+    and ``dropped`` alike; the queue measurements are untouched.
+    """
+    return dataclasses.replace(
         telemetry,
-        received=interpolate(telemetry.received),
-        sent=interpolate(telemetry.sent),
-        dropped=interpolate(telemetry.dropped),
+        received=carry_forward(telemetry.received, lost),
+        sent=carry_forward(telemetry.sent, lost),
+        dropped=carry_forward(telemetry.dropped, lost),
     )
-    return out, lost
 
 
 def quantise_counters(telemetry: CoarseTelemetry, step: int) -> CoarseTelemetry:

@@ -79,16 +79,6 @@ class TestPipeline:
 
 
 class TestTypedPipelineConfig:
-    def test_dict_model_warns_and_converts(self):
-        with pytest.warns(DeprecationWarning, match="model as a dict"):
-            config = PipelineConfig(model=dict(d_model=16, num_heads=2))
-        assert config.model == ModelOverrides(d_model=16, num_heads=2)
-
-    def test_dict_trainer_warns_and_converts(self):
-        with pytest.warns(DeprecationWarning, match="trainer as a dict"):
-            config = PipelineConfig(trainer=dict(epochs=2, batch_size=4))
-        assert config.trainer == TrainerConfig(epochs=2, batch_size=4)
-
     def test_typed_configs_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

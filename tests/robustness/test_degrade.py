@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.robustness.degrade import (
-    carry_forward,
-    degrade_dataset_samples,
-    degrade_sample,
-)
+from repro.robustness.degrade import degrade_dataset_samples, degrade_sample
+from repro.serve.records import records_from_telemetry
+from repro.serve.windows import DegradedStreamPolicy, WindowAssembler
+from repro.telemetry.noise import carry_forward, drop_snmp_intervals
+from repro.telemetry.sampling import CoarseTelemetry
 
 
 def _reference_carry_forward(values: np.ndarray, lost: np.ndarray) -> np.ndarray:
@@ -124,6 +126,12 @@ class TestDegradeSample:
         with pytest.raises(ValueError, match="deterministic"):
             degrade_sample(test.samples[0], train.scaler, snmp_loss=0.2)
 
+    def test_snmp_loss_outside_unit_interval_rejected(self, micro_datasets):
+        train, _, test = micro_datasets
+        for loss in (-0.1, 1.0):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                degrade_sample(test.samples[0], train.scaler, snmp_loss=loss, rng=0)
+
     def test_noop_knobs_return_equal_sample(self, micro_datasets):
         train, _, test = micro_datasets
         sample = test.samples[0]
@@ -145,3 +153,77 @@ class TestDegradeDatasetSamples:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.m_sent, b.m_sent)
+
+
+class _MaskGenerator(np.random.Generator):
+    """A generator whose ``random`` draw loses exactly the cells of ``mask``."""
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(np.random.PCG64(0))
+        self.mask = mask
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.mask.shape
+        return np.where(self.mask, 0.0, 1.0)
+
+
+class TestOneLostPollOneRepair:
+    """A lost poll is repaired identically on every entry point."""
+
+    def test_noise_degrade_and_serve_agree(self, micro_scenario, micro_datasets):
+        train, _, test = micro_datasets
+        # An interior interval whose counters differ from the previous
+        # interval's, which in turn differ from interval 0's: the repair is
+        # visible, and carrying from anywhere but interval k-1 is caught.
+        sample, k = next(
+            (sample, k)
+            for sample in test.samples
+            for k in range(2, sample.m_sent.shape[1] - 1)
+            if (sample.m_sent[:, k] != sample.m_sent[:, k - 1]).any()
+            and (sample.m_sent[:, k - 1] != sample.m_sent[:, 0]).any()
+        )
+        telemetry = CoarseTelemetry(
+            interval=sample.interval,
+            qlen_sample=sample.m_sample,
+            qlen_max=sample.m_max,
+            received=sample.m_received,
+            sent=sample.m_sent,
+            dropped=sample.m_dropped,
+        )
+        lost = np.zeros(telemetry.sent.shape, dtype=bool)
+        lost[:, k] = True
+
+        via_noise = drop_snmp_intervals(telemetry, lost)
+
+        degraded = degrade_sample(
+            sample, train.scaler, snmp_loss=0.5, rng=_MaskGenerator(lost)
+        )
+        via_degrade = dataclasses.replace(
+            telemetry,
+            received=degraded.m_received,
+            sent=degraded.m_sent,
+            dropped=degraded.m_dropped,
+        )
+
+        assembler = WindowAssembler(
+            micro_scenario.switch_config(),
+            telemetry.interval,
+            telemetry.num_intervals,
+            policy=DegradedStreamPolicy(repair_intervals=1),
+        )
+        tasks = []
+        for record in records_from_telemetry("sw0", telemetry):
+            if record.interval_index != k:
+                tasks.extend(assembler.push(record))
+        assert assembler.stats.gaps_repaired == 1
+        (task,) = tasks
+        via_serve = task.telemetry
+
+        assert not np.array_equal(via_noise.sent, telemetry.sent)
+        for name in ("sent", "received", "dropped"):
+            np.testing.assert_array_equal(
+                getattr(via_degrade, name), getattr(via_noise, name), err_msg=name
+            )
+            np.testing.assert_array_equal(
+                getattr(via_serve, name), getattr(via_noise, name), err_msg=name
+            )

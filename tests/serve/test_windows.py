@@ -88,9 +88,16 @@ class TestOverlappingStride:
 
 
 class TestSampleConstruction:
-    def test_task_sample_matches_offline_window(self, serve_config, fleet_traces):
+    @pytest.mark.parametrize(
+        "stride", [WINDOW_INTERVALS, 1], ids=["non_overlapping", "sliding"]
+    )
+    def test_task_sample_matches_offline_window(
+        self, serve_config, fleet_traces, stride
+    ):
         # The assembled sample must be field-for-field bit-identical to
-        # the offline build_dataset window (ex the unknown target).
+        # the offline build_dataset window (ex the unknown target), both
+        # for the service's non-overlapping layout and for a window that
+        # slides one interval per record.
         from repro.telemetry.dataset import build_dataset
 
         trace = fleet_traces["sw0"]
@@ -99,9 +106,11 @@ class TestSampleConstruction:
             trace,
             interval=INTERVAL,
             window_intervals=WINDOW_INTERVALS,
-            stride_intervals=WINDOW_INTERVALS,
+            stride_intervals=stride,
         )
-        assembler = WindowAssembler(serve_config, INTERVAL, WINDOW_INTERVALS)
+        assembler = WindowAssembler(
+            serve_config, INTERVAL, WINDOW_INTERVALS, stride_intervals=stride
+        )
         tasks = []
         for record in records_from_telemetry("sw0", telemetry):
             tasks.extend(assembler.push(record))

@@ -12,7 +12,7 @@ from repro.eval.scenarios import (
     trace_cache_params,
 )
 from repro.switchsim import Simulation, TraceCache
-from repro.switchsim.cache import legacy_trace_key, trace_key
+from repro.switchsim.cache import trace_key
 
 FIELDS = ("qlen", "qlen_max", "received", "sent", "dropped", "delay_sum", "buffer_occupancy")
 
@@ -128,34 +128,6 @@ class TestTraceCache:
             trace_cache_params(cfg, 1)
         ).name).exists()
 
-    def test_legacy_entry_adopted_without_resimulation(self, tmp_path, monkeypatch):
-        """A PR-3-era cache entry (pre-unified-digest key) still hits.
-
-        The entry is renamed to its new key on first access — never
-        re-simulated, which the exploding ``Simulation.run`` proves.
-        """
-        cfg = quick_scenario()
-        cache = TraceCache(tmp_path)
-        generate_trace(cfg, seed=3, cache=cache)
-        params = trace_cache_params(cfg, 3)
-        new_path = cache.path_for(params)
-        legacy_path = tmp_path / f"{legacy_trace_key(params)}.npz"
-        assert legacy_path != new_path  # the schemes genuinely differ
-        new_path.rename(legacy_path)  # recreate the PR-3 on-disk layout
-
-        def boom(self, num_bins):
-            raise AssertionError("simulation ran despite migratable entry")
-
-        monkeypatch.setattr(Simulation, "run", boom)
-        trace = generate_trace(cfg, seed=3, cache=cache)
-        assert trace.num_bins == cfg.duration_bins
-        assert cache.migrated == 1
-        assert cache.hits == 1
-        assert new_path.exists() and not legacy_path.exists()
-        # Subsequent reads hit the adopted entry directly.
-        assert cache.get(params) is not None
-        assert cache.migrated == 1
-
     def test_generator_seed_bypasses_cache(self, tmp_path):
         cfg = quick_scenario()
         cache = TraceCache(tmp_path)
@@ -183,13 +155,13 @@ class TestCacheStats:
         cfg = quick_scenario()
         cache = TraceCache(tmp_path)
         assert cache.cache_stats() == {
-            "hits": 0, "misses": 0, "stores": 0, "quarantined": 0, "migrated": 0,
+            "hits": 0, "misses": 0, "stores": 0, "quarantined": 0,
         }
         generate_trace(cfg, seed=4, cache=cache)  # miss + store
         generate_trace(cfg, seed=4, cache=cache)  # hit
         stats = cache.cache_stats()
         assert (stats["hits"], stats["misses"], stats["stores"]) == (1, 1, 1)
-        assert stats["quarantined"] == 0 and stats["migrated"] == 0
+        assert stats["quarantined"] == 0
         # The accessor returns a copy, not live state.
         stats["hits"] = 99
         assert cache.hits == 1

@@ -6,6 +6,7 @@ import pytest
 from repro.telemetry import sample_trace
 from repro.telemetry.noise import (
     apply_lanz_threshold,
+    carry_forward,
     drop_snmp_intervals,
     quantise_counters,
 )
@@ -47,28 +48,35 @@ class TestLanzThreshold:
 
 class TestDropSnmp:
     def test_no_loss_is_identity(self, telemetry):
-        degraded, lost = drop_snmp_intervals(telemetry, 0.0, seed=0)
-        assert not lost.any()
-        np.testing.assert_array_equal(degraded.sent, telemetry.sent)
-
-    def test_lost_cells_interpolated(self, telemetry):
-        degraded, lost = drop_snmp_intervals(telemetry, 0.3, seed=1)
-        assert lost.any()
-        surviving = ~lost
-        np.testing.assert_array_equal(
-            degraded.sent[surviving], telemetry.sent[surviving].astype(float)
+        degraded = drop_snmp_intervals(
+            telemetry, np.zeros(telemetry.sent.shape, dtype=bool)
         )
-        assert np.isfinite(degraded.sent).all()
+        np.testing.assert_array_equal(degraded.sent, telemetry.sent)
+        np.testing.assert_array_equal(degraded.received, telemetry.received)
+        np.testing.assert_array_equal(degraded.dropped, telemetry.dropped)
 
-    def test_deterministic_given_seed(self, telemetry):
-        a, lost_a = drop_snmp_intervals(telemetry, 0.2, seed=5)
-        b, lost_b = drop_snmp_intervals(telemetry, 0.2, seed=5)
-        np.testing.assert_array_equal(lost_a, lost_b)
-        np.testing.assert_array_equal(a.sent, b.sent)
+    def test_lost_cells_carried_forward(self, telemetry):
+        lost = np.random.default_rng(1).random(telemetry.sent.shape) < 0.3
+        lost[:, 0] = False
+        assert lost.any()
+        degraded = drop_snmp_intervals(telemetry, lost)
+        for name in ("sent", "received", "dropped"):
+            clean, repaired = getattr(telemetry, name), getattr(degraded, name)
+            np.testing.assert_array_equal(repaired[~lost], clean[~lost])
+            np.testing.assert_array_equal(
+                repaired[lost], carry_forward(clean, lost)[lost]
+            )
+        np.testing.assert_array_equal(degraded.qlen_max, telemetry.qlen_max)
+        np.testing.assert_array_equal(degraded.qlen_sample, telemetry.qlen_sample)
 
-    def test_rejects_bad_probability(self, telemetry):
-        with pytest.raises(ValueError):
-            drop_snmp_intervals(telemetry, 1.0)
+    def test_input_is_not_mutated(self, telemetry):
+        before = telemetry.sent.copy()
+        drop_snmp_intervals(telemetry, np.ones(telemetry.sent.shape, dtype=bool))
+        np.testing.assert_array_equal(telemetry.sent, before)
+
+    def test_rejects_mismatched_mask(self, telemetry):
+        with pytest.raises(ValueError, match="does not match"):
+            drop_snmp_intervals(telemetry, np.zeros((1, 1), dtype=bool))
 
 
 class TestQuantise:
