@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.autodiff import functional as F
 from repro.autodiff import fused as _fused
 from repro.autodiff.module import Module
@@ -28,9 +26,6 @@ class MultiHeadAttention(Module):
     ``k_proj`` / ``v_proj`` are concatenated at forward time, so the
     parameter layout (and every state-dict key) is unchanged and the
     sliced outputs are bit-identical to the three separate projections.
-
-    ``label`` names this layer in the ``nn.gemm.<label>.*`` timing
-    histograms (only recorded while metrics collection is enabled).
     """
 
     def __init__(
@@ -39,7 +34,6 @@ class MultiHeadAttention(Module):
         num_heads: int,
         dropout: float = 0.0,
         seed: RngLike = None,
-        label: str = "attn",
     ):
         if d_model % num_heads != 0:
             raise ValueError(
@@ -49,7 +43,6 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.num_heads = num_heads
         self.head_dim = d_model // num_heads
-        self.label = label
         self.q_proj = Linear(d_model, d_model, seed=rngs[0])
         self.k_proj = Linear(d_model, d_model, seed=rngs[1])
         self.v_proj = Linear(d_model, d_model, seed=rngs[2])
@@ -69,14 +62,7 @@ class MultiHeadAttention(Module):
         bias = Tensor.concatenate(
             (self.q_proj.bias, self.k_proj.bias, self.v_proj.bias), axis=0
         )
-        if obs.metrics_enabled():
-            start = time.perf_counter()
-            qkv = x @ weight + bias
-            obs.histogram(f"nn.gemm.{self.label}.qkv.seconds").observe(
-                time.perf_counter() - start
-            )
-        else:
-            qkv = x @ weight + bias
+        qkv = x @ weight + bias
         return (
             _fused.slice_last(qkv, 0, d),
             _fused.slice_last(qkv, d, 2 * d),

@@ -9,12 +9,10 @@ the full model.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.autodiff import functional as F
 from repro.autodiff.module import Module
 from repro.autodiff.tensor import Tensor
@@ -59,12 +57,10 @@ class TransformerEncoderLayer(Module):
         d_ff: int,
         dropout: float = 0.0,
         seed: RngLike = None,
-        label: str = "layer",
     ):
         rngs = spawn_generators(seed, 5)
-        self.label = label
         self.self_attn = MultiHeadAttention(
-            d_model, num_heads, dropout=dropout, seed=rngs[0], label=f"{label}.attn"
+            d_model, num_heads, dropout=dropout, seed=rngs[0]
         )
         self.norm1 = LayerNorm(d_model)
         self.norm2 = LayerNorm(d_model)
@@ -79,14 +75,7 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         attended = self.self_attn(self.norm1(x), mask=mask)
         x = x + self.dropout1(attended)
-        if obs.metrics_enabled():
-            start = time.perf_counter()
-            transformed = self._feed_forward(self.norm2(x))
-            obs.histogram(f"nn.gemm.{self.label}.ffn.seconds").observe(
-                time.perf_counter() - start
-            )
-        else:
-            transformed = self._feed_forward(self.norm2(x))
+        transformed = self._feed_forward(self.norm2(x))
         return x + self.dropout2(transformed)
 
 
@@ -106,10 +95,8 @@ class TransformerEncoder(Module):
             raise ValueError(f"num_layers must be positive, got {num_layers}")
         rngs = spawn_generators(seed, num_layers)
         self.layers = [
-            TransformerEncoderLayer(
-                d_model, num_heads, d_ff, dropout=dropout, seed=rng, label=f"layer{i}"
-            )
-            for i, rng in enumerate(rngs)
+            TransformerEncoderLayer(d_model, num_heads, d_ff, dropout=dropout, seed=rng)
+            for rng in rngs
         ]
         self.final_norm = LayerNorm(d_model)
 

@@ -19,13 +19,20 @@ class FlowSizeDistribution(ABC):
     """Samples flow sizes in packets."""
 
     @abstractmethod
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` flow sizes (each >= 1 packet) as an int64 array.
+
+        Consumes the generator exactly as ``n`` sequential :meth:`sample`
+        calls would, so batch and one-at-a-time draws are interchangeable.
+        """
+
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one flow size (>= 1 packet)."""
+        return int(self.sample_many(rng, 1)[0])
 
     def mean(self) -> float:
         """Monte-Carlo estimate of the mean flow size (used for load calc)."""
-        rng = as_generator(12345)
-        return float(np.mean([self.sample(rng) for _ in range(20000)]))
+        return float(np.mean(self.sample_many(as_generator(12345), 20000)))
 
 
 class FixedSizes(FlowSizeDistribution):
@@ -36,8 +43,8 @@ class FixedSizes(FlowSizeDistribution):
             raise ValueError(f"flow size must be >= 1 packet, got {size}")
         self.size = int(size)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.size
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.size, dtype=np.int64)
 
     def mean(self) -> float:
         return float(self.size)
@@ -55,12 +62,12 @@ class ParetoSizes(FlowSizeDistribution):
         self.minimum = minimum
         self.maximum = maximum
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Inverse-CDF sampling of a bounded Pareto.
-        u = rng.random()
+        u = rng.random(n)
         lo, hi, a = float(self.minimum), float(self.maximum), self.shape
         x = (lo**a / (1.0 - u * (1.0 - (lo / hi) ** a))) ** (1.0 / a)
-        return int(np.clip(round(x), self.minimum, self.maximum))
+        return np.clip(np.rint(x), self.minimum, self.maximum).astype(np.int64)
 
 
 class WebsearchSizes(FlowSizeDistribution):
@@ -95,9 +102,9 @@ class WebsearchSizes(FlowSizeDistribution):
         self._sizes = np.array([k[0] for k in self._KNOTS], dtype=float)
         self._cdf = np.array([k[1] for k in self._KNOTS], dtype=float)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        u = rng.random()
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.random(n)
         # Interpolate in log-size space for a smooth heavy tail.
         log_size = np.interp(u, self._cdf, np.log(self._sizes))
-        size = int(round(np.exp(log_size) * self.scale))
-        return max(1, size)
+        size = np.rint(np.exp(log_size) * self.scale).astype(np.int64)
+        return np.maximum(size, 1)

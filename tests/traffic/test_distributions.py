@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.traffic import FixedSizes, ParetoSizes, WebsearchSizes
+from repro.traffic import FixedSizes, FlowTrafficConfig, ParetoSizes, WebsearchSizes
 
 
 class TestFixedSizes:
@@ -64,3 +66,72 @@ class TestWebsearchSizes:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             WebsearchSizes(scale=0)
+
+
+# Every law ``FlowTrafficConfig.size_distribution()`` can build, over a
+# range of its parameters.
+size_configs = st.one_of(
+    st.builds(
+        FlowTrafficConfig,
+        size_dist=st.just("websearch"),
+        websearch_scale=st.floats(0.01, 50.0),
+    ),
+    st.builds(
+        FlowTrafficConfig,
+        size_dist=st.just("pareto"),
+        pareto_shape=st.floats(0.05, 5.0),
+        pareto_max=st.integers(1, 10**6),
+    ),
+    st.builds(
+        FlowTrafficConfig,
+        size_dist=st.just("fixed"),
+        fixed_size=st.integers(1, 10**4),
+    ),
+)
+
+
+class TestSampleMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=size_configs,
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+    )
+    def test_matches_sequential_draws(self, config, seed, n):
+        dist = config.size_distribution()
+        batch_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        batch = dist.sample_many(batch_rng, n)
+        sequential = [dist.sample(scalar_rng) for _ in range(n)]
+        assert batch.dtype == np.int64
+        assert batch.shape == (n,)
+        np.testing.assert_array_equal(batch, np.array(sequential, dtype=np.int64))
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_matches_scalar_formulas(self):
+        # Each law's formula as a scalar oracle, one Python float at a
+        # time (``round`` rounds half to even, as ``np.rint`` does).
+        def websearch(dist, u):
+            log_size = np.interp(u, dist._cdf, np.log(dist._sizes))
+            return max(1, int(round(np.exp(log_size) * dist.scale)))
+
+        def pareto(dist, u):
+            lo, hi, a = float(dist.minimum), float(dist.maximum), dist.shape
+            x = (lo**a / (1.0 - u * (1.0 - (lo / hi) ** a))) ** (1.0 / a)
+            return int(np.clip(round(x), dist.minimum, dist.maximum))
+
+        cases = [(WebsearchSizes(s), websearch) for s in (0.1, 0.37, 0.5, 1, 2, 3.3)]
+        cases += [
+            (ParetoSizes(a, lo, hi), pareto)
+            for a, lo, hi in ((1.2, 1, 1000), (1.05, 1, 10000), (2.0, 3, 50))
+        ]
+        for dist, formula in cases:
+            uniforms = np.random.default_rng(5).random(5000)
+            expected = [formula(dist, float(u)) for u in uniforms]
+            got = dist.sample_many(np.random.default_rng(5), 5000)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_mean_pinned(self):
+        # Load calculations divide by these; a change would shift every trace.
+        assert WebsearchSizes().mean() == 223.72445
+        assert WebsearchSizes(0.1).mean() == 22.731
