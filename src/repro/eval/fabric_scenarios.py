@@ -91,8 +91,8 @@ class RedWebsearchConfig:
 
     ``scenario`` is the unchanged single-switch workload description;
     ``aqm`` must not be plain ``"dt"`` (that is just ``simulate``).
-    The reference engine runs the policy (``engine="auto"`` falls back
-    automatically — the array fast path is DT-only by design).
+    The array engine runs the policy through the same
+    ``AqmPolicy.admit`` the reference engine calls.
     """
 
     scenario: ScenarioConfig = field(default_factory=quick_scenario)
@@ -266,7 +266,7 @@ def run_leaf_spine_experiment(
 def run_red_websearch_experiment(
     config: RedWebsearchConfig, selfcheck: bool = False
 ) -> int:
-    """Paper workload under RED/ECN admission on the reference engine."""
+    """Paper workload under RED/ECN admission on the array engine."""
     from repro.eval.scenarios import build_traffic
     from repro.switchsim.simulation import Simulation
     from repro.telemetry.dataset import build_dataset
@@ -280,7 +280,7 @@ def run_red_websearch_experiment(
         switch_config,
         build_traffic(scenario, seed=config.seed),
         steps_per_bin=scenario.steps_per_bin,
-        engine="auto",  # falls back to the reference engine under AQM
+        engine="auto",
         selfcheck=selfcheck,
     )
     trace = simulation.run(scenario.duration_bins)

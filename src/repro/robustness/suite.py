@@ -185,30 +185,38 @@ def table1_config_from(config: RobustnessConfig):
 
 
 def _evaluate_point(
-    samples: list,
-    switch_config,
-    impute_fns: dict[str, Callable],
-    batch_fns: dict[str, Callable],
+    samples: list, switch_config, iterative, plain, kal, enforcer
 ) -> dict[str, MethodResult]:
-    """Evaluate every method on one point's (possibly degraded) windows."""
+    """Evaluate every method on one point's (possibly degraded) windows.
+
+    The two transformer columns impute the point in one batch each; the
+    CEM column projects the KAL column's arrays (``enforce`` copies its
+    input), so the KAL forward runs once per point.  CEM infeasibility
+    is still counted per window.
+    """
     from repro.constraints.spec import check_constraints
     from repro.imputation.cem import CEMInfeasibleError
 
+    plain_batch = plain.impute_batch(samples)
+    kal_batch = kal.impute_batch(samples)
+    window_fns: dict[str, Callable[[int, Any], np.ndarray]] = {
+        "IterImputer": lambda index, sample: iterative.impute(sample),
+        "Transformer": lambda index, sample: plain_batch[index],
+        "Transformer+KAL": lambda index, sample: kal_batch[index],
+        "Transformer+KAL+CEM": lambda index, sample: enforcer.enforce(
+            kal_batch[index], sample
+        ),
+    }
+
     results: dict[str, MethodResult] = {}
     for method in METHODS:
+        impute = window_fns[method]
         errors: list[float] = []
         satisfied = 0
         infeasible = 0
-        if method in batch_fns:
-            imputed_list = batch_fns[method](samples)
-        else:
-            imputed_list = None
         for index, sample in enumerate(samples):
             try:
-                if imputed_list is not None:
-                    imputed = imputed_list[index]
-                else:
-                    imputed = impute_fns[method](sample)
+                imputed = impute(index, sample)
             except CEMInfeasibleError:
                 infeasible += 1
                 continue
@@ -305,7 +313,8 @@ def _aqm_eval_samples(
     The workload is the anchor scenario's (same traffic, same held-out
     seed); only the admission policy changes, so any degradation is
     attributable to the policy shifting the queue dynamics.  Runs on
-    the reference engine (the array fast path is DT-only by design).
+    the array engine, which admits through the same ``RedPolicy.admit``
+    as the reference engine (bit-identical traces).
     """
     import dataclasses as _dc
 
@@ -475,24 +484,12 @@ def run_robustness(
                 enforcer = ConstraintEnforcer(
                     point_switch_config, vectorized=True
                 )
-
-                impute_fns = {
-                    "IterImputer": iterative.impute,
-                    "Transformer": plain.impute,
-                    "Transformer+KAL": kal.impute,
-                    "Transformer+KAL+CEM": lambda s, _e=enforcer: _e.enforce(
-                        kal.impute(s), s
-                    ),
-                }
-                batch_fns = {
-                    "Transformer": plain.impute_batch,
-                    "Transformer+KAL": kal.impute_batch,
-                }
                 with obs.span(
                     "robustness.point", axis=point.axis, value=point.value
                 ):
                     results = _evaluate_point(
-                        samples, point_switch_config, impute_fns, batch_fns
+                        samples, point_switch_config, iterative, plain, kal,
+                        enforcer,
                     )
                 points.append(
                     PointResult(

@@ -16,11 +16,14 @@ extracts the admission decision behind a strategy interface:
 
 The default path — ``SwitchConfig.aqm_factory is None`` — never touches
 this module: :class:`~repro.switchsim.queues.OutputQueue` keeps calling
-``SharedBuffer.admits`` directly, so the DT traces pinned by the golden
-fingerprints stay bit-identical.  A non-``None`` factory routes every
-admission through :meth:`AqmPolicy.admit` and disqualifies the array
-fast path (``ArraySwitchEngine.supports`` returns ``False``), falling
-back to the reference engine.
+``SharedBuffer.admits`` directly (and the array engine its inline DT
+check), so the DT traces pinned by the golden fingerprints stay
+bit-identical.  A non-``None`` factory routes every admission through
+:meth:`AqmPolicy.admit` in both engines: the reference
+:class:`~repro.switchsim.queues.OutputQueue` and the array
+:class:`~repro.switchsim.engine.ArraySwitchEngine` make the same call
+with the same four arguments in the same packet order, so each policy
+has one implementation and the two engines stay bit-identical.
 
 :class:`AqmConfig` is the schema-facing description (primitives only, so
 it digests and round-trips through TOML); :meth:`AqmConfig.factory`

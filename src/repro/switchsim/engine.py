@@ -25,10 +25,11 @@ state and processes whole fine-grained bins per inner call:
 
 Inside the per-step core the mutable state is mirrored into plain Python
 lists: CPython list indexing is ~3× faster than numpy scalar indexing,
-and the Dynamic-Threshold admission check is inherently sequential (each
-admitted packet shrinks the threshold seen by the next), so the inner
-recurrence cannot itself be expressed as a whole-array operation.  All
-bin-level aggregation is numpy.
+and admission is inherently sequential (each admitted packet shrinks the
+Dynamic-Threshold seen by the next, and an AQM policy such as RED draws
+from its own RNG per packet), so the inner recurrence cannot itself be
+expressed as a whole-array operation.  All bin-level aggregation is
+numpy.
 
 The engine is **bit-identical** to the reference engine: admission order,
 DT thresholds, round-robin state, and delay accounting replicate
@@ -44,6 +45,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 import repro.obs as obs
+from repro.switchsim.aqm import AQM_DROP, AqmPolicy
 from repro.switchsim.scheduler import RoundRobinScheduler, StrictPriorityScheduler
 from repro.switchsim.simulation import SimulationTrace
 from repro.switchsim.switch import SwitchConfig
@@ -79,14 +81,17 @@ class ArraySwitchEngine:
 
     State persists across :meth:`run` calls (like the reference switch
     object), so a driver may simulate a trace in several installments.
+
+    Without an AQM policy, admission is the inline Dynamic-Threshold
+    check.  With one, every packet's admission is
+    ``aqm.admit(length, alpha, occupancy, capacity)`` — the call
+    :meth:`~repro.switchsim.queues.OutputQueue.offer` makes, in the same
+    packet order — and ``AQM_DROP`` is a drop.  ``aqm`` defaults to a
+    fresh ``config.aqm_factory()``; :class:`~repro.switchsim.simulation.
+    Simulation` passes its switch's instance so one policy serves the run.
     """
 
-    def __init__(self, config: SwitchConfig):
-        if config.aqm_factory is not None:
-            raise EngineUnsupported(
-                "array engine implements the direct Dynamic-Threshold "
-                'admission only; configs with an aqm_factory need engine="reference"'
-            )
+    def __init__(self, config: SwitchConfig, aqm: AqmPolicy | None = None):
         mode = _scheduler_mode(config)
         if mode is None:
             raise EngineUnsupported(
@@ -96,6 +101,9 @@ class ArraySwitchEngine:
                 f'engine="reference"'
             )
         self.config = config
+        if aqm is None and config.aqm_factory is not None:
+            aqm = config.aqm_factory()
+        self.aqm = aqm
         capacity = config.buffer_capacity
         num_queues = config.num_queues
         # A queue can never exceed the shared buffer, so one buffer-sized
@@ -120,7 +128,7 @@ class ArraySwitchEngine:
     @classmethod
     def supports(cls, config: SwitchConfig) -> bool:
         """Whether this engine can run ``config`` bit-identically."""
-        return config.aqm_factory is None and _scheduler_mode(config) is not None
+        return _scheduler_mode(config) is not None
 
     def queue_lengths(self) -> np.ndarray:
         """Current lengths of all queues, in flat queue order."""
@@ -211,6 +219,7 @@ class ArraySwitchEngine:
         rr_next = self._rr_next
         rr_mask = self._rr_mask
         alphas = self._alphas
+        admit = self.aqm.admit if self.aqm is not None else None
         occ = self._occupancy
         two_queues = queues_per_port == 2
         port_range = range(num_ports)
@@ -242,14 +251,20 @@ class ArraySwitchEngine:
                 delay_b = [0] * num_ports
                 while step < bin_end:
                     touched: list[int] = []
-                    # --- arrivals: sequential DT admission ---
+                    # --- arrivals: sequential admission (DT or the policy) ---
                     while cursor < num_packets and psteps[cursor] == step:
                         qi = pqidx[cursor]
                         port = pports[cursor]
                         recv_b[port] += 1
-                        if occ < capacity and lengths[qi] < alphas[qi] * (
-                            capacity - occ
-                        ):
+                        if admit is None:
+                            admitted = occ < capacity and lengths[qi] < alphas[qi] * (
+                                capacity - occ
+                            )
+                        else:
+                            admitted = (
+                                admit(lengths[qi], alphas[qi], occ, capacity) != AQM_DROP
+                            )
+                        if admitted:
                             tail = tails[qi]
                             rings[qi][tail] = parrivals[cursor]
                             tails[qi] = tail + 1 if tail + 1 < capacity else 0

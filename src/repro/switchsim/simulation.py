@@ -150,8 +150,12 @@ class Simulation:
         if engine == "auto":
             engine = "array" if ArraySwitchEngine.supports(config) else "reference"
         self.engine = engine
+        # The engine admits through the switch's own policy instance, so
+        # ``switch.aqm`` counters describe the run whichever engine ran it.
         self._array_engine = (
-            ArraySwitchEngine(config) if engine == "array" else None
+            ArraySwitchEngine(config, aqm=self.switch.aqm)
+            if engine == "array"
+            else None
         )
 
     def _selfcheck_trace(self, trace: SimulationTrace, initial_qlen) -> None:

@@ -28,8 +28,8 @@ class SwitchConfig:
         aqm_factory: optionally builds an
             :class:`~repro.switchsim.aqm.AqmPolicy` shared by the
             switch's queues; ``None`` (the default) keeps the original
-            direct Dynamic-Threshold admission — the bit-identical path
-            the array engine supports.
+            direct Dynamic-Threshold admission.  Both engines support
+            either.
     """
 
     num_ports: int = 4

@@ -6,9 +6,10 @@ detail string describing the first divergence:
 
 * :func:`diff_engines` — :class:`~repro.switchsim.engine.ArraySwitchEngine`
   vs the reference per-packet :class:`~repro.switchsim.switch.
-  OutputQueuedSwitch` loop, compared bit-for-bit on every trace field
-  (plus the invariant oracles on the reference trace, so a bug shared by
-  both engines still surfaces);
+  OutputQueuedSwitch` loop, compared bit-for-bit on every trace field and
+  on the AQM policy's early-drop and mark counters (plus the invariant
+  oracles on the reference trace, so a bug shared by both engines still
+  surfaces);
 * :func:`diff_cem` — the combinatorial :class:`~repro.imputation.cem.
   ConstraintEnforcer` vs the :class:`~repro.fm.cem_milp.MilpCem`
   reference: both must agree on feasibility, both outputs must satisfy
@@ -94,17 +95,25 @@ def diff_engines(case: EngineCase) -> str | None:
     from repro.switchsim.simulation import Simulation
 
     config = case.switch_config()
-    reference = Simulation(
+    reference_sim = Simulation(
         config, case.build_traffic(), steps_per_bin=case.steps_per_bin,
         engine="reference",
-    ).run(case.num_bins)
-    candidate = Simulation(
+    )
+    candidate_sim = Simulation(
         config, case.build_traffic(), steps_per_bin=case.steps_per_bin,
         engine="array",
-    ).run(case.num_bins)
+    )
+    reference = reference_sim.run(case.num_bins)
+    candidate = candidate_sim.run(case.num_bins)
     detail = compare_traces(reference, candidate)
     if detail is not None:
         return detail
+    if reference_sim.switch.aqm is not None:
+        for counter in ("early_drops", "packets_marked"):
+            expected = getattr(reference_sim.switch.aqm, counter)
+            actual = getattr(candidate_sim.switch.aqm, counter)
+            if expected != actual:
+                return f"aqm.{counter}: reference {expected} vs candidate {actual}"
     try:
         check_trace_invariants(reference)
     except OracleViolation as violation:

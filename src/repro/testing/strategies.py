@@ -8,9 +8,10 @@ case's JSON — a ~10-line repro config anyone can replay with
 
 Three case families mirror the repo's fast/reference implementation pairs:
 
-* :class:`EngineCase` — a switch configuration plus a traffic spec, run
-  through both :class:`~repro.switchsim.engine.ArraySwitchEngine` and the
-  reference per-packet loop;
+* :class:`EngineCase` — a switch configuration (optionally with an AQM
+  policy) plus a traffic spec, run through both
+  :class:`~repro.switchsim.engine.ArraySwitchEngine` and the reference
+  per-packet loop;
 * :class:`CemCase` — a tiny simulated scenario plus a perturbed imputation,
   projected by both the combinatorial CEM and the MILP formulation;
 * :class:`LpCase` — a small all-integer MILP, solved by the native simplex
@@ -148,11 +149,61 @@ def _random_traffic_spec(rng: np.random.Generator, num_ports: int) -> dict:
 
 
 # ----------------------------------------------------------------------
+# AQM specs
+# ----------------------------------------------------------------------
+def _aqm_factory(spec: dict | None):
+    """The ``SwitchConfig.aqm_factory`` an AQM-spec dict describes.
+
+    ``None`` keeps the inline Dynamic-Threshold path; ``{"kind": "dt"}``
+    is :class:`~repro.switchsim.aqm.DtPolicy` as an object; ``"red"``
+    carries ``min_th``/``max_th``/``max_p``/``seed`` and ``"ecn"`` its
+    ``mark`` threshold, all in packets.
+    """
+    from repro.switchsim.aqm import DtPolicy, EcnPolicy, RedPolicy
+
+    if spec is None:
+        return None
+    kind = spec["kind"]
+    if kind == "dt":
+        return DtPolicy
+    if kind == "red":
+        return lambda: RedPolicy(
+            spec["min_th"], spec["max_th"], spec["max_p"], seed=spec["seed"]
+        )
+    if kind == "ecn":
+        return lambda: EcnPolicy(spec["mark"])
+    raise ValueError(f"unknown aqm kind {kind!r}")
+
+
+def _random_aqm_spec(rng: np.random.Generator, buffer_capacity: int) -> dict | None:
+    """No policy half the time, else DT-as-object, RED or ECN evenly."""
+    kind = int(rng.integers(6))
+    if kind < 3:
+        return None
+    if kind == 3:
+        return {"kind": "dt"}
+    if kind == 4:
+        min_th = int(rng.integers(0, buffer_capacity // 2 + 1))
+        return {
+            "kind": "red",
+            "min_th": min_th,
+            "max_th": min_th + int(rng.integers(1, buffer_capacity + 1)),
+            "max_p": round(float(rng.uniform(0.05, 1.0)), 3),
+            "seed": int(rng.integers(2**31)),
+        }
+    return {"kind": "ecn", "mark": int(rng.integers(0, buffer_capacity + 1))}
+
+
+# ----------------------------------------------------------------------
 # Engine differential cases
 # ----------------------------------------------------------------------
 @dataclass
 class EngineCase:
-    """One randomized configuration for the engine differential harness."""
+    """One randomized configuration for the engine differential harness.
+
+    ``aqm`` is an optional AQM-spec dict (see :func:`_aqm_factory`);
+    ``None``, the default, is the inline Dynamic-Threshold admission.
+    """
 
     num_ports: int
     queues_per_port: int
@@ -162,6 +213,7 @@ class EngineCase:
     steps_per_bin: int
     num_bins: int
     traffic: dict
+    aqm: dict | None = None
 
     def switch_config(self) -> SwitchConfig:
         return SwitchConfig(
@@ -170,6 +222,7 @@ class EngineCase:
             buffer_capacity=self.buffer_capacity,
             alphas=tuple(self.alphas[: self.queues_per_port]),
             scheduler_factory=_scheduler_factory(self.scheduler),
+            aqm_factory=_aqm_factory(self.aqm),
         )
 
     def build_traffic(self):
@@ -188,15 +241,18 @@ def random_engine_case(rng: np.random.Generator) -> EngineCase:
     num_ports = int(rng.integers(1, 5))
     queues_per_port = int(rng.integers(1, 4))
     alphas = [round(float(rng.uniform(0.2, 2.0)), 3) for _ in range(queues_per_port)]
+    buffer_capacity = int(rng.integers(10, 120))
     return EngineCase(
         num_ports=num_ports,
         queues_per_port=queues_per_port,
-        buffer_capacity=int(rng.integers(10, 120)),
+        buffer_capacity=buffer_capacity,
         alphas=alphas,
         scheduler=_SCHEDULERS[int(rng.integers(2))],
         steps_per_bin=int(rng.integers(1, 20)),
         num_bins=int(rng.integers(10, 60)),
         traffic=_random_traffic_spec(rng, num_ports),
+        # Drawn last, so every other field matches the pre-AQM draw.
+        aqm=_random_aqm_spec(rng, buffer_capacity),
     )
 
 
@@ -221,6 +277,8 @@ def shrink_engine_case(case: EngineCase):
         )
     if case.buffer_capacity > 2:
         yield replace(case, buffer_capacity=max(2, case.buffer_capacity // 2))
+    if case.aqm is not None:
+        yield replace(case, aqm=None)
     yield from (
         replace(case, traffic=spec) for spec in _shrink_traffic_spec(case.traffic)
     )

@@ -15,7 +15,7 @@ which is what the m4 line of work motivates for scenario generation.
 * **batch parity** — :meth:`arrivals_batch` is bit-identical to the
   per-step path (same packets, same within-step order, same RNG
   consumption), so the array engine and the fabric feed can batch it.
-  The Poisson flow-arrival draws reuse the checkpoint/rewind scheme of
+  The Poisson flow-arrival draws reuse the checkpoint/rewind helper of
   :class:`~repro.traffic.generators.PoissonFlowTraffic`; per-flow packet
   times are a deterministic arithmetic progression, so batching them is
   exact by construction.
@@ -37,7 +37,12 @@ from repro.traffic.distributions import (
     ParetoSizes,
     WebsearchSizes,
 )
-from repro.traffic.generators import ArrivalArrays, TrafficGenerator, _SequentialMixin
+from repro.traffic.generators import (
+    ArrivalArrays,
+    TrafficGenerator,
+    _poisson_arrival_steps,
+    _SequentialMixin,
+)
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_positive
 
@@ -176,28 +181,13 @@ class FlowTrafficGenerator(_SequentialMixin, TrafficGenerator):
 
     def arrivals_batch(self, start_step: int, num_steps: int) -> ArrivalArrays:
         end = self._check_batch(start_step, num_steps)
-        rng = self._rng
-        bit_generator = rng.bit_generator
-        lam = self.config.flows_per_step
-        # New flows of the span, via the same checkpoint/rewind Poisson
-        # batching as PoissonFlowTraffic (identical RNG stream).
-        step = start_step
-        while step < end:
-            chunk = min(4096, end - step)
-            checkpoint = bit_generator.state
-            counts = rng.poisson(lam, chunk)
-            nonzero = np.nonzero(counts)[0]
-            if nonzero.size == 0:
-                step += chunk
-                continue
-            j = int(nonzero[0])
-            if j + 1 < chunk:
-                bit_generator.state = checkpoint
-                rng.poisson(lam, j + 1)  # identical prefix, exact state advance
-            flow_step = step + j
-            for _ in range(int(counts[j])):
+        # New flows of the span, via the Poisson batching PoissonFlowTraffic
+        # uses (identical RNG stream).
+        for flow_step, count in _poisson_arrival_steps(
+            self._rng, self.config.flows_per_step, start_step, end
+        ):
+            for _ in range(count):
                 self._active.append(self._draw_flow(flow_step))
-            step = flow_step + 1
         # Every flow (pre-existing and new, in creation order) contributes
         # an arithmetic progression of steps clipped to the span; a stable
         # sort by step then reproduces the per-step emission order.

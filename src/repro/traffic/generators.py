@@ -24,13 +24,15 @@ the capability via :meth:`TrafficGenerator.can_batch`; callers must check
 it before calling ``arrivals_batch`` because a batch call mutates
 generator state irreversibly.
 
-For :class:`PoissonFlowTraffic` the per-step Poisson arrival draws are
-batched with a checkpoint/rewind scheme on the bit generator: numpy's
-``Generator.poisson(lam, size=n)`` consumes the bit stream exactly like
-``n`` sequential scalar draws (element-wise fill), so a chunk can be drawn
-at once and, when a non-zero count appears at position ``j``, the state is
-rewound and re-advanced by exactly ``j + 1`` draws before the per-flow
-attribute draws are interleaved — reproducing the scalar call sequence.
+For :class:`PoissonFlowTraffic` (and the flow-level generator of
+:mod:`repro.traffic.flows`) the per-step Poisson arrival draws are batched
+with a checkpoint/rewind scheme on the bit generator, in one helper,
+:func:`_poisson_arrival_steps`: numpy's ``Generator.poisson(lam, size=n)``
+consumes the bit stream exactly like ``n`` sequential scalar draws
+(element-wise fill), so a chunk can be drawn at once and, when a non-zero
+count appears at position ``j``, the state is rewound and re-advanced by
+exactly ``j + 1`` draws before the per-flow attribute draws are
+interleaved — reproducing the scalar call sequence.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,6 +240,42 @@ _EMPTY_BATCH: ArrivalArrays = (
 )
 
 
+def _poisson_arrival_steps(
+    rng: np.random.Generator, lam: float, start: int, end: int
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(step, count)`` for each step of ``[start, end)`` with arrivals.
+
+    Batches the per-step ``rng.poisson(lam)`` draws of the per-step path
+    with a checkpoint/rewind on the bit generator: an array draw consumes
+    the bit stream like sequential scalars, so when a non-zero count lands
+    at offset ``j`` the state is rewound and re-advanced by exactly
+    ``j + 1`` draws before the yield.  The caller makes its per-flow draws
+    between yields, where the per-step path makes them.
+
+    Because of the rewind, the consumed stream does not depend on the
+    array size.  The size is set by the rate — about four expected
+    arrivals, clamped to ``[16, 4096]`` steps — so a sparse stream is not
+    drawn far past the next arrival only to be rewound.
+    """
+    bit_generator = rng.bit_generator
+    size = 4096 if lam == 0 else int(min(4096.0, max(16.0, 4.0 / lam)))
+    step = start
+    while step < end:
+        chunk = min(size, end - step)
+        checkpoint = bit_generator.state
+        counts = rng.poisson(lam, chunk)
+        nonzero = np.flatnonzero(counts)
+        if nonzero.size == 0:
+            step += chunk
+            continue
+        j = int(nonzero[0])
+        if j + 1 < chunk:
+            bit_generator.state = checkpoint
+            rng.poisson(lam, j + 1)  # identical prefix, exact state advance
+        yield step + j, int(counts[j])
+        step += j + 1
+
+
 class PoissonFlowTraffic(_SequentialMixin, TrafficGenerator):
     """Open-loop Poisson flow arrivals (the websearch background traffic).
 
@@ -296,33 +334,13 @@ class PoissonFlowTraffic(_SequentialMixin, TrafficGenerator):
 
     def arrivals_batch(self, start_step: int, num_steps: int) -> ArrivalArrays:
         end = self._check_batch(start_step, num_steps)
-        rng = self._rng
-        bit_generator = rng.bit_generator
-        lam = self.flows_per_step
         injections: list[tuple[int, int, _ActiveFlow]] = []
-        step = start_step
-        while step < end:
-            chunk = min(4096, end - step)
-            # Checkpoint/rewind batching of the per-step Poisson draws: an
-            # array draw consumes the bit stream like sequential scalars,
-            # so when a non-zero count lands at offset j we rewind and
-            # re-advance by exactly j + 1 draws before interleaving the
-            # per-flow attribute draws, like the per-step path does.
-            checkpoint = bit_generator.state
-            counts = rng.poisson(lam, chunk)
-            nonzero = np.nonzero(counts)[0]
-            if nonzero.size == 0:
-                step += chunk
-                continue
-            j = int(nonzero[0])
-            if j + 1 < chunk:
-                bit_generator.state = checkpoint
-                rng.poisson(lam, j + 1)  # identical prefix, exact state advance
-            flow_step = step + j
-            for _ in range(int(counts[j])):
+        for flow_step, count in _poisson_arrival_steps(
+            self._rng, self.flows_per_step, start_step, end
+        ):
+            for _ in range(count):
                 source, flow = self._draw_flow()
                 injections.append((flow_step, source, flow))
-            step = flow_step + 1
         return self._pool.emit_batch(start_step, end, injections)
 
 

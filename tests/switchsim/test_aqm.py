@@ -30,6 +30,40 @@ def _config(**overrides) -> SwitchConfig:
     return SwitchConfig(**base)
 
 
+TRACE_FIELDS = (
+    "qlen", "qlen_max", "received", "sent", "dropped", "delay_sum",
+    "buffer_occupancy",
+)
+
+#: Policies the array engine must reproduce against the reference engine.
+#: RED's thresholds keep max_th above the DT bound (alpha*B/(1+alpha) = 20
+#: packets for alpha = 1, B = 40), so every early drop is a ramp draw.
+POLICIES = {
+    "red_ramp": lambda: RedPolicy(min_th=4, max_th=30, max_p=0.9, seed=2),
+    "red_config": AqmConfig(
+        policy="red", red_min_frac=0.05, red_max_frac=0.2, red_max_p=0.9
+    ).factory(40),
+    "ecn": lambda: EcnPolicy(mark_threshold=6),
+    "dt": DtPolicy,
+}
+
+
+def _simulate(factory, engine: str, bins=(200,)):
+    """Run one simulation in ``bins`` installments; returns it and the trace."""
+    simulation = Simulation(
+        _config(aqm_factory=factory),
+        PoissonFlowTraffic(num_sources=8, num_ports=2, flows_per_step=0.08, seed=4),
+        steps_per_bin=8,
+        engine=engine,
+    )
+    parts = [simulation.run(n) for n in bins]
+    joined = {
+        field: np.concatenate([getattr(p, field) for p in parts], axis=-1)
+        for field in TRACE_FIELDS
+    }
+    return simulation, joined
+
+
 class TestDtPolicy:
     @pytest.mark.parametrize(
         ("qlen", "alpha", "occ", "capacity"),
@@ -127,9 +161,9 @@ class TestAqmConfig:
 
 
 class TestSwitchIntegration:
-    """An aqm_factory reroutes admission and disqualifies the fast path."""
+    """An aqm_factory reroutes admission; both engines run it."""
 
-    def _run(self, aqm: AqmConfig, seed: int = 0):
+    def _run(self, aqm: AqmConfig, seed: int = 0, engine: str = "auto"):
         config = _config(aqm_factory=aqm.factory(40))
         simulation = Simulation(
             config,
@@ -137,19 +171,21 @@ class TestSwitchIntegration:
                 num_sources=8, num_ports=2, flows_per_step=0.08, seed=seed
             ),
             steps_per_bin=8,
+            engine=engine,
             selfcheck=True,
         )
         trace = simulation.run(200)
         return simulation, trace
 
-    def test_array_engine_refuses_aqm_configs(self):
-        config = _config(aqm_factory=AqmConfig(policy="ecn").factory(40))
-        assert not ArraySwitchEngine.supports(config)
+    def test_array_engine_supports_aqm_configs(self):
+        for aqm in (AqmConfig(policy="red"), AqmConfig(policy="ecn")):
+            assert ArraySwitchEngine.supports(_config(aqm_factory=aqm.factory(40)))
+        assert ArraySwitchEngine.supports(_config(aqm_factory=DtPolicy))
         assert ArraySwitchEngine.supports(_config())
 
-    def test_auto_engine_falls_back_to_reference(self):
+    def test_auto_engine_picks_array(self):
         simulation, _ = self._run(AqmConfig(policy="red"))
-        assert simulation.engine == "reference"
+        assert simulation.engine == "array"
 
     def test_red_attributes_early_drops(self):
         simulation, trace = self._run(
@@ -161,7 +197,10 @@ class TestSwitchIntegration:
         assert int(trace.dropped.sum()) >= policy.early_drops
 
     def test_ecn_marks_without_dropping_more_than_dt(self):
-        simulation, _ = self._run(AqmConfig(policy="ecn", ecn_mark_frac=0.05))
+        # Per-queue mark counts live on the reference engine's queue objects.
+        simulation, _ = self._run(
+            AqmConfig(policy="ecn", ecn_mark_frac=0.05), engine="reference"
+        )
         assert simulation.switch.aqm.packets_marked > 0
         marked = sum(q.total_marked for q in simulation.switch.queues)
         assert marked == simulation.switch.aqm.packets_marked
@@ -182,8 +221,7 @@ class TestSwitchIntegration:
                 engine="reference",
             )
             traces.append(simulation.run(200))
-        for field in ("qlen", "qlen_max", "received", "sent", "dropped",
-                      "delay_sum", "buffer_occupancy"):
+        for field in TRACE_FIELDS:
             np.testing.assert_array_equal(
                 getattr(traces[0], field), getattr(traces[1], field)
             )
@@ -196,6 +234,60 @@ class TestSwitchIntegration:
         assert simulation.switch.aqm.early_drops > 0
         simulation.switch.reset()
         assert simulation.switch.aqm.early_drops == 0
+
+
+class TestArrayEngineAqm:
+    """The array engine admits through ``AqmPolicy.admit``, bit-exactly."""
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_trace_and_counters_match_reference(self, name):
+        reference, ref_trace = _simulate(POLICIES[name], "reference")
+        array, arr_trace = _simulate(POLICIES[name], "array")
+        assert array.engine == "array"
+        for field in TRACE_FIELDS:
+            np.testing.assert_array_equal(ref_trace[field], arr_trace[field], field)
+        assert array.switch.aqm.early_drops == reference.switch.aqm.early_drops
+        assert array.switch.aqm.packets_marked == reference.switch.aqm.packets_marked
+
+    def test_red_ramp_is_exercised(self):
+        simulation, trace = _simulate(POLICIES["red_ramp"], "array")
+        # Early drops with every queue below max_th come from the RNG ramp.
+        assert simulation.switch.aqm.early_drops > 0
+        assert int(trace["qlen_max"].max()) < 30
+
+    def test_ecn_marks_are_counted(self):
+        simulation, _ = _simulate(POLICIES["ecn"], "array")
+        assert simulation.switch.aqm.packets_marked > 0
+        assert simulation.switch.aqm.early_drops == 0
+
+    @pytest.mark.parametrize("name", ["red_ramp", "ecn"])
+    def test_two_runs_equal_one(self, name):
+        whole, whole_trace = _simulate(POLICIES[name], "reference")
+        split, split_trace = _simulate(POLICIES[name], "array", bins=(75, 125))
+        for field in TRACE_FIELDS:
+            np.testing.assert_array_equal(whole_trace[field], split_trace[field], field)
+        assert split.switch.aqm.early_drops == whole.switch.aqm.early_drops
+        assert split.switch.aqm.packets_marked == whole.switch.aqm.packets_marked
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_switch_reset_resets_the_policy_the_engine_uses(self, engine):
+        simulation, _ = _simulate(POLICIES["red_ramp"], engine)
+        policy = simulation.switch.aqm
+        assert policy.early_drops > 0
+        simulation.switch.reset()
+        assert policy.early_drops == 0
+        assert policy.packets_marked == 0
+        # The RED stream restarts: the next decisions are a fresh policy's.
+        fresh = POLICIES["red_ramp"]()
+        assert [policy.admit(10, 1.0, 10, 40) for _ in range(32)] == [
+            fresh.admit(10, 1.0, 10, 40) for _ in range(32)
+        ]
+
+    def test_standalone_engine_builds_its_own_policy(self):
+        config = _config(aqm_factory=POLICIES["ecn"])
+        engine = ArraySwitchEngine(config)
+        assert isinstance(engine.aqm, EcnPolicy)
+        assert ArraySwitchEngine(_config()).aqm is None
 
 
 def test_scenario_config_unchanged_by_aqm_wiring():
