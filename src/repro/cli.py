@@ -1,21 +1,21 @@
-"""Command-line interface: simulate, train, impute, and run experiments.
+"""Command-line interface: run experiments, train and apply models.
 
 Usage (installed as the console script ``repro`` or via
 ``python -m repro.cli``)::
 
     repro run table1 --config examples/table1.toml --set epochs=5
     repro run simulate --set scenario.duration_bins=4000
+    repro run table1 --set scenario={}      # the paper-scale scenario
     repro experiments
     repro train --profile quick --epochs 10 --out model.npz
     repro impute --model model.npz --profile quick
 
-``repro run <experiment>`` is the canonical entry point: the experiment
-is resolved in the :mod:`repro.experiments` registry, its typed config
-is loaded from ``--config`` (TOML or JSON; defaults otherwise) and then
-modified by dotted-path ``--set`` overrides.  The pre-registry
-subcommands (``repro simulate``, ``repro table1``,
-``repro scalability``) remain as aliases that call the exact same run
-functions — behaviour-identical down to the journal bytes.
+``repro run <experiment>`` is the one entry point for experiments: the
+experiment is resolved in the :mod:`repro.experiments` registry, its
+typed config is loaded from ``--config`` (TOML or JSON; defaults
+otherwise) and then modified by dotted-path ``--set`` overrides.
+``train``, ``impute`` and ``verify`` work on model files rather than
+reports, and pick their scenario with ``--profile paper|quick``.
 
 All subcommands are deterministic given their config/seed.
 """
@@ -44,23 +44,10 @@ def _version() -> str:
 def _scenario(args) -> "ScenarioConfig":
     from repro.eval.scenarios import paper_scenario, quick_scenario
 
-    scenario = paper_scenario() if args.profile == "paper" else quick_scenario()
-    if getattr(args, "duration", None):
-        scenario = type(scenario)(**{**scenario.__dict__, "duration_bins": args.duration})
-    return scenario
+    return paper_scenario() if args.profile == "paper" else quick_scenario()
 
 
-def _apply_overrides(config, args):
-    """Apply ``--set key=value`` assignments (if any) to a config."""
-    assignments = getattr(args, "overrides", None)
-    if not assignments:
-        return config
-    from repro.config import apply_overrides
-
-    return apply_overrides(config, assignments)
-
-
-def _annotate_obs(config, experiment: str | None = None) -> None:
+def _annotate_obs(config, experiment: str) -> None:
     """Stamp the resolved config's digest into the observability run.
 
     A trace/metrics file then carries the same ``config_digest`` that
@@ -74,10 +61,7 @@ def _annotate_obs(config, experiment: str | None = None) -> None:
         return
     from repro.config import config_digest
 
-    fields = {"config_digest": config_digest(config)}
-    if experiment is not None:
-        fields["experiment"] = experiment
-    obs.annotate(**fields)
+    obs.annotate(config_digest=config_digest(config), experiment=experiment)
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +69,7 @@ def _annotate_obs(config, experiment: str | None = None) -> None:
 # ----------------------------------------------------------------------
 def cmd_run(args) -> int:
     """Run a registered experiment from its typed config."""
-    from repro.config import load_config
+    from repro.config import apply_overrides, load_config
     from repro.experiments import get_experiment
 
     experiment = get_experiment(args.experiment)
@@ -95,7 +79,7 @@ def cmd_run(args) -> int:
         )
     else:
         config = experiment.default_config()
-    config = _apply_overrides(config, args)
+    config = apply_overrides(config, args.overrides)
     _annotate_obs(config, experiment=experiment.name)
     options = {
         option.dest: getattr(args, option.dest) for option in experiment.cli_options
@@ -114,69 +98,6 @@ def cmd_experiments(args) -> int:
     ]
     print(format_table(["experiment", "config", "artifacts", "summary"], rows))
     return 0
-
-
-def cmd_simulate(args) -> int:
-    """Legacy alias: simulate the scenario and save the trace as .npz."""
-    from repro.experiments import SimulateConfig, run_simulate_experiment
-
-    config = SimulateConfig(
-        scenario=_scenario(args), seed=args.seed, engine=args.engine
-    )
-    config = _apply_overrides(config, args)
-    _annotate_obs(config, experiment="simulate")
-    return run_simulate_experiment(
-        config, out=args.out, cache=args.cache, selfcheck=args.selfcheck
-    )
-
-
-def cmd_table1(args) -> int:
-    """Legacy alias: run the full Table-1 experiment and print the table."""
-    from repro.eval.table1 import Table1Config
-    from repro.experiments import run_table1_experiment
-
-    config = Table1Config(
-        scenario=_scenario(args), epochs=args.epochs, seed=args.seed
-    )
-    config = _apply_overrides(config, args)
-    _annotate_obs(config, experiment="table1")
-    return run_table1_experiment(
-        config, journal=args.journal, resume=args.resume, selfcheck=args.selfcheck
-    )
-
-
-def cmd_serve(args) -> int:
-    """Legacy alias: stream a replayed fleet through the imputation service."""
-    from repro.experiments import run_serve_experiment
-    from repro.serve.config import ServeConfig
-
-    config = ServeConfig(
-        scenario=_scenario(args),
-        seed=args.seed,
-        num_switches=args.switches,
-        shards=args.shards,
-        supervised=args.supervised,
-    )
-    config = _apply_overrides(config, args)
-    _annotate_obs(config, experiment="serve")
-    return run_serve_experiment(
-        config, selfcheck=args.selfcheck, slo_exit=args.slo_exit
-    )
-
-
-def cmd_scalability(args) -> int:
-    """Legacy alias: FM-alone solve effort vs horizon."""
-    from repro.eval.scalability import ScalabilityConfig
-    from repro.experiments import run_scalability_experiment
-
-    config = ScalabilityConfig(
-        horizons=tuple(args.horizons),
-        node_limit=args.node_limit,
-        deadline=args.deadline,
-    )
-    config = _apply_overrides(config, args)
-    _annotate_obs(config, experiment="scalability")
-    return run_scalability_experiment(config)
 
 
 # ----------------------------------------------------------------------
@@ -216,17 +137,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_impute(args) -> int:
-    """Load a trained model, impute the test split, report consistency."""
-    from repro.constraints import check_constraints
+def _load_trained_model(args, selfcheck: bool = False):
+    """Rebuild the profile's dataset and load ``--model`` into an imputer.
+
+    Returns ``(model, test)``: the trained imputer and the test split it
+    is applied to.
+    """
     from repro.eval.scenarios import generate_dataset
     from repro.eval.table1 import Table1Config
-    from repro.imputation import ConstraintEnforcer
     from repro.imputation.transformer_imputer import TransformerConfig, TransformerImputer
     from repro.nn.serialization import load_module
 
     scenario = _scenario(args)
-    train, _, test = generate_dataset(scenario, seed=args.seed, selfcheck=args.selfcheck)
+    train, _, test = generate_dataset(scenario, seed=args.seed, selfcheck=selfcheck)
     table_config = Table1Config(scenario=scenario, seed=args.seed)
     model = TransformerImputer(
         TransformerConfig(
@@ -241,6 +164,15 @@ def cmd_impute(args) -> int:
         seed=args.seed,
     )
     load_module(model, args.model)
+    return model, test
+
+
+def cmd_impute(args) -> int:
+    """Load a trained model, impute the test split, report consistency."""
+    from repro.constraints import check_constraints
+    from repro.imputation import ConstraintEnforcer
+
+    model, test = _load_trained_model(args, selfcheck=args.selfcheck)
     enforcer = ConstraintEnforcer(test.switch_config)
 
     satisfied = 0
@@ -263,28 +195,9 @@ def cmd_impute(args) -> int:
 
 def cmd_verify(args) -> int:
     """Audit a trained model against the switch constraints (C1-C3)."""
-    from repro.eval.scenarios import generate_dataset
-    from repro.eval.table1 import Table1Config
-    from repro.imputation.transformer_imputer import TransformerConfig, TransformerImputer
-    from repro.nn.serialization import load_module
     from repro.verify import ConstraintVerifier
 
-    scenario = _scenario(args)
-    train, _, test = generate_dataset(scenario, seed=args.seed)
-    table_config = Table1Config(scenario=scenario, seed=args.seed)
-    model = TransformerImputer(
-        TransformerConfig(
-            num_features=train.num_features,
-            num_queues=train.num_queues,
-            d_model=table_config.d_model,
-            num_heads=table_config.num_heads,
-            num_layers=table_config.num_layers,
-            d_ff=table_config.d_ff,
-        ),
-        train.scaler,
-        seed=args.seed,
-    )
-    load_module(model, args.model)
+    model, test = _load_trained_model(args)
     verifier = ConstraintVerifier(test, tolerance=args.tolerance)
     report = verifier.verify(model, perturbations=args.perturbations, seed=args.seed)
     print(report.summary())
@@ -319,33 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", choices=("paper", "quick"), default="quick")
         p.add_argument("--seed", type=int, default=0)
 
-    def settable(p):
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            metavar="KEY=VALUE",
-            default=[],
-            help="override a config field by dotted path "
-            "(e.g. --set scenario.duration_bins=4000); repeatable",
-        )
-
-    def selfcheckable(p):
-        p.add_argument(
-            "--selfcheck",
-            action="store_true",
-            help="run the invariant oracles inline; violations abort with a "
-            "serialized repro (off by default)",
-        )
-
     def observable(p, profile_alias=False):
         """Add the opt-in observability flags (see docs/observability.md).
 
-        ``--profile`` is taken by the legacy subcommands (scenario
+        ``--profile`` is taken by the model-file subcommands (scenario
         profile ``paper``/``quick``), so the cProfile flag is spelled
         ``--profile-dir`` everywhere and additionally aliased to
-        ``--profile`` on conflict-free parsers (``repro run ...``,
-        ``repro scalability``).
+        ``--profile`` on ``repro run <experiment>``.
         """
         p.add_argument(
             "--trace",
@@ -423,7 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{experiment.config_cls.__name__} as TOML or JSON "
             "(defaults when absent)",
         )
-        settable(ep)
+        ep.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            metavar="KEY=VALUE",
+            default=[],
+            help="override a config field by dotted path "
+            "(e.g. --set scenario.duration_bins=4000, or --set scenario={} "
+            "for the paper-scale scenario); repeatable",
+        )
         observable(ep, profile_alias=True)
         for option in experiment.cli_options:
             ep.add_argument(*option.flags, dest=option.dest, **dict(option.kwargs))
@@ -431,85 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="list the registered experiments")
     p.set_defaults(func=cmd_experiments)
-
-    # --- legacy experiment aliases ------------------------------------
-    p = sub.add_parser("simulate", help="simulate a switch trace")
-    common(p)
-    p.add_argument("--duration", type=int, help="fine bins to simulate")
-    p.add_argument("--out", type=Path, default=Path("trace.npz"))
-    p.add_argument(
-        "--engine",
-        choices=("auto", "array", "reference"),
-        default="auto",
-        help="simulation core (both produce bit-identical traces)",
-    )
-    p.add_argument(
-        "--cache",
-        type=Path,
-        help="trace cache directory; re-runs skip simulation entirely",
-    )
-    settable(p)
-    selfcheckable(p)
-    observable(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("table1", help="regenerate Table 1")
-    common(p)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument(
-        "--journal",
-        type=Path,
-        help="result journal (JSONL); completed method columns are "
-        "committed durably and skipped on re-run",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="journal to repro-table1.journal.jsonl when --journal is absent",
-    )
-    settable(p)
-    selfcheckable(p)
-    observable(p)
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser(
-        "serve", help="stream a replayed fleet through the imputation service"
-    )
-    common(p)
-    p.add_argument(
-        "--switches", type=int, default=4, help="fleet size to replay"
-    )
-    p.add_argument(
-        "--shards", type=int, default=2, help="worker shards (switches hash-assigned)"
-    )
-    p.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run shards as supervised worker processes (respawn on crash)",
-    )
-    p.add_argument(
-        "--slo-exit",
-        dest="slo_exit",
-        action="store_true",
-        help="exit 4 when a configured SLO breach is sustained at end of run",
-    )
-    settable(p)
-    selfcheckable(p)
-    observable(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("scalability", help="FM-alone scaling study")
-    p.add_argument("--horizons", type=int, nargs="+", default=[8, 16, 32])
-    p.add_argument("--node-limit", type=int, default=2_000)
-    p.add_argument(
-        "--deadline",
-        type=float,
-        help="wall-clock seconds per solve; expired solves return their "
-        "best incumbent flagged as timed out instead of hanging",
-    )
-    settable(p)
-    observable(p, profile_alias=True)
-    p.set_defaults(func=cmd_scalability)
 
     # --- model-file subcommands ---------------------------------------
     p = sub.add_parser("train", help="train the transformer imputer")
@@ -545,7 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="impute the test split with a trained model")
     common(p)
     p.add_argument("--model", type=Path, required=True)
-    selfcheckable(p)
+    p.add_argument(
+        "--selfcheck",
+        action="store_true",
+        help="run the invariant oracles inline; violations abort with a "
+        "serialized repro (off by default)",
+    )
     observable(p)
     p.set_defaults(func=cmd_impute)
 
@@ -581,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resumable(args) -> bool:
     """Whether an interrupted command's progress is journal/checkpoint-saved."""
-    if args.command in ("train", "table1"):
+    if args.command == "train":
         return True
-    return args.command == "run" and getattr(args, "experiment", None) == "table1"
+    return args.command == "run" and args.experiment == "table1"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -648,8 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except EngineUnsupported as exc:
         print(
-            f"error: --engine array cannot reproduce this configuration: {exc}\n"
-            "hint: use --engine auto (falls back) or --engine reference",
+            f"error: engine=array cannot reproduce this configuration: {exc}\n"
+            "hint: use --set engine=auto (falls back) or --set engine=reference",
             file=sys.stderr,
         )
         return 2

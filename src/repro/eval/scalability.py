@@ -31,11 +31,10 @@ from repro.utils.rng import RngLike, as_generator
 class ScalabilityConfig:
     """Declarative form of the FM-alone scaling study (``fm_scaling``).
 
-    The registered ``scalability`` experiment runs exactly this; the
-    legacy CLI flags (``--horizons``, ``--node-limit``, ``--deadline``)
-    are conveniences that set the matching fields.  ``deadline`` is the
-    per-solve wall-clock budget in seconds (``None`` = unbounded; TOML
-    files express "unbounded" by omitting the key).
+    The registered ``scalability`` experiment runs exactly this
+    (``repro run scalability --set "horizons=[4, 8]"``).  ``deadline`` is
+    the per-solve wall-clock budget in seconds (``None`` = unbounded;
+    TOML files express "unbounded" by omitting the key).
     """
 
     horizons: tuple[int, ...] = (8, 16, 32)

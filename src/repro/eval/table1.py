@@ -258,18 +258,12 @@ def run_table1(
     behaviour with zero overhead.
     """
     config = config if config is not None else Table1Config()
-    import contextlib
-
-    from repro.autodiff import fused as _fused
-    from repro.autodiff.runtime import large_alloc_reuse
+    from repro.autodiff.runtime import kernel_scope
 
     with obs.span("table1.run", seed=config.seed, epochs=config.epochs):
         # Covers inference too: the evaluation columns run the same
         # kernel selection the models were trained under.
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(_fused.fused_kernels(config.fused_kernels))
-            if config.fused_kernels:
-                stack.enter_context(large_alloc_reuse())
+        with kernel_scope(config.fused_kernels):
             return _run_table1(config, datasets, pretrained, journal)
 
 

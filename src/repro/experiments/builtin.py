@@ -1,10 +1,8 @@
 """The built-in experiments: table1, scalability, replication, simulate, serve, robustness.
 
 Each entry pairs a typed config dataclass with a run function whose
-stdout is the experiment's report; the legacy CLI subcommands
-(``repro table1``, ``repro simulate``, ``repro scalability``) are thin
-aliases over these exact functions, so ``repro run table1`` and
-``repro table1`` are behaviour-identical down to the journal bytes.
+stdout is the experiment's report; ``repro run <name>`` is the CLI's
+one front door to them.
 
 Heavy imports (training, solvers) happen inside the run functions so
 that importing the registry — which the CLI does to build its parser —
@@ -51,6 +49,12 @@ class SimulateConfig:
     scenario: ScenarioConfig = field(default_factory=quick_scenario)
     seed: int = 0
     engine: str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ("auto", "array", "reference"):
+            raise ValueError(
+                f"engine must be 'auto', 'array', or 'reference', got {self.engine!r}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +167,7 @@ def run_replication_experiment(config: ReplicationConfig) -> int:
 
 
 # ----------------------------------------------------------------------
-# Default configs (match the legacy CLI defaults: quick profile, seed 0)
+# Default configs (quick profile, seed 0; --set scenario={} for the paper scale)
 # ----------------------------------------------------------------------
 def _default_table1() -> Table1Config:
     return Table1Config(scenario=quick_scenario(), epochs=10, seed=0)

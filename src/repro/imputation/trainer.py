@@ -43,9 +43,8 @@ from typing import Union
 import numpy as np
 
 import repro.obs as obs
-from repro.autodiff import fused as _fused
 from repro.autodiff.optim import Adam, clip_grad_norm
-from repro.autodiff.runtime import large_alloc_reuse
+from repro.autodiff.runtime import kernel_scope
 from repro.autodiff.tensor import Tensor, default_dtype, no_grad
 from repro.constraints.differentiable import phi_max, phi_periodic, psi_sent
 from repro.constraints.spec import check_constraints
@@ -302,18 +301,11 @@ class Trainer:
                     self._pool = None
         return self.history
 
+    @contextlib.contextmanager
     def _compute_context(self):
         """Dtype + kernel-selection context every forward/backward runs in."""
-        stack = contextlib.ExitStack()
-        stack.enter_context(default_dtype(self._dtype))
-        stack.enter_context(_fused.fused_kernels(self.config.fused_kernels))
-        if self.config.fused_kernels:
-            # Part of the optimized runtime: recycle the multi-MB
-            # attention scratch buffers across batches instead of paying
-            # mmap page faults on every allocation.  The reference path
-            # (fused_kernels=False) keeps the untouched allocator.
-            stack.enter_context(large_alloc_reuse())
-        return stack
+        with default_dtype(self._dtype), kernel_scope(self.config.fused_kernels):
+            yield
 
     def _effective_shards(self) -> int:
         cfg = self.config

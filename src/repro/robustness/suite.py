@@ -30,7 +30,6 @@ Evaluation discipline:
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -393,8 +392,7 @@ def run_robustness(
     config: RobustnessConfig | None = None, *, selfcheck: bool = False
 ) -> RobustnessResult:
     """Train on the base mix, evaluate every method across the shift grid."""
-    from repro.autodiff import fused as _fused
-    from repro.autodiff.runtime import large_alloc_reuse
+    from repro.autodiff.runtime import kernel_scope
     from repro.eval.scenarios import generate_dataset, generate_trace
     from repro.eval.table1 import train_transformer
     from repro.imputation.cem import ConstraintEnforcer
@@ -405,11 +403,7 @@ def run_robustness(
     grid = shift_grid(config)
 
     with obs.span("robustness.run", seed=config.seed, points=len(grid)):
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(_fused.fused_kernels(config.fused_kernels))
-            if config.fused_kernels:
-                stack.enter_context(large_alloc_reuse())
-
+        with kernel_scope(config.fused_kernels):
             with obs.span("robustness.dataset"):
                 train, val, _ = generate_dataset(
                     config.scenario, seed=config.seed, selfcheck=selfcheck

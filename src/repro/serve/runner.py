@@ -11,8 +11,6 @@ replays when pinning stream/offline parity.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.serve.config import ServeConfig
 
 
@@ -58,8 +56,7 @@ def run_serve_experiment(
     objectives" apart from "the service is broken".
     """
     import repro.obs as obs
-    from repro.autodiff import fused as _fused
-    from repro.autodiff.runtime import large_alloc_reuse
+    from repro.autodiff.runtime import kernel_scope
     from repro.eval.scenarios import generate_dataset, generate_trace
     from repro.eval.table1 import train_transformer
     from repro.serve.records import records_from_telemetry
@@ -67,13 +64,9 @@ def run_serve_experiment(
     from repro.telemetry.sampling import sample_trace
 
     with obs.span("serve.run", seed=config.seed, switches=config.num_switches):
-        with contextlib.ExitStack() as stack:
-            # Same kernel selection as the offline pipeline — training
-            # *and* the streamed inference run under it.
-            stack.enter_context(_fused.fused_kernels(config.fused_kernels))
-            if config.fused_kernels:
-                stack.enter_context(large_alloc_reuse())
-
+        # Same kernel selection as the offline pipeline — training *and*
+        # the streamed inference run under it.
+        with kernel_scope(config.fused_kernels):
             with obs.span("serve.dataset"):
                 train, val, _ = generate_dataset(config.scenario, seed=config.seed)
             model, train_seconds = train_transformer(

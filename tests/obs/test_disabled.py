@@ -68,7 +68,7 @@ class TestDisabledIsNoop:
         assert (
             main(
                 [
-                    "simulate",
+                    "run", "simulate",
                     "--set", "scenario.duration_bins=300",
                     "--out", str(out),
                 ]

@@ -74,7 +74,8 @@ def artifacts(tmp_path_factory):
     )
     assert (
         main(
-            ["scalability", "--horizons", "4", "--node-limit", "200"] + obs_flags
+            ["run", "scalability", "--set", "horizons=[4]", "--set", "node_limit=200"]
+            + obs_flags
         )
         == 0
     )
@@ -83,7 +84,7 @@ def artifacts(tmp_path_factory):
         assert (
             main(
                 [
-                    "simulate",
+                    "run", "simulate",
                     "--set", "scenario.duration_bins=300",
                     "--out", str(root / "trace.npz"),
                     "--cache", str(cache_dir),

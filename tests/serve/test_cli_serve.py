@@ -1,4 +1,4 @@
-"""CLI coverage: ``repro run serve``, the legacy alias, and the registry."""
+"""CLI coverage: ``repro run serve`` and its registry entry."""
 
 from __future__ import annotations
 
@@ -25,23 +25,6 @@ def test_run_serve_micro_stream_succeeds(capsys):
     assert "streaming imputation service" in out
     assert "windows emitted" in out
     assert "imputation latency" in out
-
-
-def test_legacy_serve_alias_matches_run_serve(capsys):
-    from repro.cli import main
-
-    rc = main(
-        [
-            "serve",
-            "--switches", "2",
-            "--shards", "2",
-            *MICRO[2:],  # same micro overrides minus the epochs pair ...
-            "--set", "epochs=1",  # ... re-applied (order is irrelevant)
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "streaming imputation service" in out
 
 
 def test_serve_is_registered():

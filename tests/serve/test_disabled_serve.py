@@ -68,7 +68,7 @@ class TestNoEagerImports:
             "import sys\n"
             "from repro.cli import main\n"
             "assert main([\n"
-            "    'simulate',\n"
+            "    'run', 'simulate',\n"
             "    '--set', 'scenario.duration_bins=300',\n"
             f"    '--out', {str(out)!r},\n"
             "]) == 0\n"
@@ -108,7 +108,7 @@ class TestNoConstructionOnDefaultPaths:
         assert (
             main(
                 [
-                    "simulate",
+                    "run", "simulate",
                     "--set", "scenario.duration_bins=300",
                     "--out", str(tmp_path / "trace.npz"),
                 ]

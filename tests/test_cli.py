@@ -12,49 +12,73 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.profile == "quick"
-        assert args.seed == 0
+        args = build_parser().parse_args(["run", "simulate"])
+        assert args.overrides == [] and args.config is None
+        assert str(args.out) == "trace.npz" and args.cache is None
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["simulate", "table1", "serve", "scalability"])
+    def test_experiments_are_only_reachable_through_run(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_selfcheck_off_by_default(self):
-        for command in (["simulate"], ["impute", "--model", "m.npz"], ["table1"]):
+        for command in (
+            ["run", "simulate"],
+            ["impute", "--model", "m.npz"],
+            ["run", "table1"],
+        ):
             assert build_parser().parse_args(command).selfcheck is False
 
     def test_resilience_flags_off_by_default(self):
+        from repro.experiments import get_experiment
+
         train = build_parser().parse_args(["train"])
         assert train.checkpoint is None and train.resume is False
-        table1 = build_parser().parse_args(["table1"])
+        table1 = build_parser().parse_args(["run", "table1"])
         assert table1.journal is None and table1.resume is False
-        assert build_parser().parse_args(["scalability"]).deadline is None
+        assert get_experiment("scalability").default_config().deadline is None
 
     def test_resilience_flags_parse(self):
+        from repro.config import apply_overrides
+        from repro.eval.scalability import ScalabilityConfig
+
         train = build_parser().parse_args(
             ["train", "--checkpoint", "ck.npz", "--resume"]
         )
         assert str(train.checkpoint) == "ck.npz" and train.resume
-        table1 = build_parser().parse_args(["table1", "--journal", "j.jsonl"])
+        table1 = build_parser().parse_args(["run", "table1", "--journal", "j.jsonl"])
         assert str(table1.journal) == "j.jsonl"
-        args = build_parser().parse_args(["scalability", "--deadline", "2.5"])
-        assert args.deadline == 2.5
+        args = build_parser().parse_args(["run", "scalability", "--set", "deadline=2.5"])
+        assert apply_overrides(ScalabilityConfig(), args.overrides).deadline == 2.5
 
-    def test_bad_engine_rejected_with_usable_message(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["simulate", "--engine", "warp"])
-        assert excinfo.value.code == 2
+    def test_bad_engine_rejected_with_usable_message(self, tmp_path, capsys):
+        code = main(
+            ["run", "simulate", "--set", "engine=warp", "--out", str(tmp_path / "t.npz")]
+        )
+        assert code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "'warp'" in err
+        assert "invalid configuration" in err and "'warp'" in err
         # The message names the valid engines, so the fix is obvious.
         assert "array" in err and "reference" in err
+        assert not (tmp_path / "t.npz").exists()
+
+
+def _simulate(*args):
+    return main(["run", "simulate", *args])
 
 
 class TestSimulate:
     def test_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.npz"
-        code = main(["simulate", "--duration", "300", "--out", str(out), "--seed", "1"])
+        code = _simulate(
+            "--set", "scenario.duration_bins=300", "--set", "seed=1", "--out", str(out)
+        )
         assert code == 0
         with np.load(out) as archive:
             assert archive["qlen"].shape[1] == 300
@@ -63,8 +87,8 @@ class TestSimulate:
 
     def test_selfcheck_passes_on_healthy_run(self, tmp_path, capsys):
         out = tmp_path / "trace.npz"
-        code = main(
-            ["simulate", "--duration", "200", "--out", str(out), "--selfcheck"]
+        code = _simulate(
+            "--set", "scenario.duration_bins=200", "--out", str(out), "--selfcheck"
         )
         assert code == 0
         assert out.exists()
@@ -72,12 +96,10 @@ class TestSimulate:
     def test_cache_pointing_at_file_errors_usably(self, tmp_path, capsys):
         not_a_dir = tmp_path / "occupied"
         not_a_dir.write_text("something else lives here")
-        code = main(
-            [
-                "simulate", "--duration", "50",
-                "--out", str(tmp_path / "t.npz"),
-                "--cache", str(not_a_dir),
-            ]
+        code = _simulate(
+            "--set", "scenario.duration_bins=50",
+            "--out", str(tmp_path / "t.npz"),
+            "--cache", str(not_a_dir),
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -180,7 +202,9 @@ class TestVerify:
 
 class TestScalability:
     def test_prints_table(self, capsys):
-        code = main(["scalability", "--horizons", "4", "--node-limit", "5000"])
+        code = main(
+            ["run", "scalability", "--set", "horizons=[4]", "--set", "node_limit=5000"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "horizon" in out
@@ -188,7 +212,7 @@ class TestScalability:
 
     def test_tiny_deadline_marks_timeout(self, capsys):
         code = main(
-            ["scalability", "--horizons", "4", "--deadline", "0.000001"]
+            ["run", "scalability", "--set", "horizons=[4]", "--set", "deadline=0.000001"]
         )
         assert code == 0
         assert "(timed out)" in capsys.readouterr().out
@@ -202,20 +226,22 @@ class TestKeyboardInterrupt:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(scenarios, "generate_trace", interrupted)
-        code = main(["simulate", "--out", str(tmp_path / "t.npz")])
+        out = tmp_path / "t.npz"
+        code = _simulate("--set", "seed=3", "--out", str(out))
         assert code == 130
         err = capsys.readouterr().err
         assert "interrupted" in err
         assert "--resume" not in err  # simulate has nothing to resume
+        assert not out.exists()  # no half-written trace is left behind
 
-    def test_table1_interrupt_hints_resume(self, capsys, monkeypatch):
+    def test_table1_interrupt_hints_resume(self, tmp_path, capsys, monkeypatch):
         import repro.eval.table1 as table1
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(table1, "run_table1", interrupted)
-        code = main(["table1"])
+        code = main(["run", "table1", "--journal", str(tmp_path / "j.jsonl")])
         assert code == 130
         assert "resumable with --resume" in capsys.readouterr().err
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 
 # One tiny Table-1 configuration expressed as --set overrides, used both
-# through the legacy subcommand and (rendered to TOML) through repro run.
+# directly and (rendered to TOML) through --config.
 TINY_TABLE1_OVERRIDES = [
     "d_model=16",
     "num_heads=2",
@@ -91,24 +90,6 @@ class TestRunParser:
 
 
 class TestRunSimulate:
-    def test_run_simulate_matches_legacy_trace(self, tmp_path, capsys):
-        legacy_out = tmp_path / "legacy.npz"
-        run_out = tmp_path / "run.npz"
-        assert main(["simulate", "--duration", "300", "--out", str(legacy_out)]) == 0
-        assert (
-            main(
-                [
-                    "run", "simulate",
-                    "--set", "scenario.duration_bins=300",
-                    "--out", str(run_out),
-                ]
-            )
-            == 0
-        )
-        with np.load(legacy_out) as a, np.load(run_out) as b:
-            for key in a.files:
-                assert (a[key] == b[key]).all(), key
-
     def test_run_simulate_from_config_file(self, tmp_path, capsys):
         from repro.config import apply_overrides, save_config
         from repro.experiments import SimulateConfig
@@ -119,6 +100,75 @@ class TestRunSimulate:
         out = tmp_path / "trace.npz"
         assert main(["run", "simulate", "--config", str(path), "--out", str(out)]) == 0
         assert "simulated 200 bins" in capsys.readouterr().out
+
+
+# The paper- and quick-profile configs, spelled out with the digests the
+# experiments have always run under (journals, caches and checkpoints in
+# the wild are keyed by them).  `repro run` must keep resolving to them.
+PAPER_DIGESTS = {
+    "table1": "e2cdf9885f5ed3609d8d101e76af697f863fab5f94aca5a77dfefe9f4b274801",
+    "simulate": "66e3164a4c844e703693b237cf99fb31a08ab7b371a6e74f7fa4db3319c09e16",
+    "serve": "1c338a90d7b40d039298322ff8842bc9df6fe4815c7811240f3092134782a276",
+}
+DEFAULT_DIGESTS = {
+    "table1": "24ccd681c69af96e2e4f74d3f4e229c6cef18948ea9d26e0062013a7a6098618",
+    "simulate": "5db8bbd28a28a111988109ff8db76de77ebe0239da197f9fda4686d5edc9310d",
+    "serve": "6e4472c29964a7e836754109910ce49b91361bfea0f7afb7e9c908da3a91900e",
+    "scalability": "b8a47c88ac29a99439d911d5c53c271ebbfd97b58988f3013c949a50523d357b",
+}
+
+
+def _profile_config(name, scenario):
+    from repro.eval.scalability import ScalabilityConfig
+    from repro.eval.table1 import Table1Config
+    from repro.experiments import SimulateConfig
+    from repro.serve.config import ServeConfig
+
+    if name == "table1":
+        return Table1Config(scenario=scenario, epochs=10, seed=0)
+    if name == "simulate":
+        return SimulateConfig(scenario=scenario, seed=0, engine="auto")
+    if name == "serve":
+        return ServeConfig(
+            scenario=scenario, seed=0, num_switches=4, shards=2, supervised=False
+        )
+    return ScalabilityConfig(horizons=(8, 16, 32), node_limit=2_000, deadline=None)
+
+
+def _resolved(monkeypatch, argv):
+    """The config ``repro run ...`` hands to the experiment's run function."""
+    import dataclasses
+
+    import repro.experiments.registry as registry_mod
+    from repro.experiments import get_experiment
+
+    name, seen = argv[1], []
+    patched = dataclasses.replace(
+        get_experiment(name), run=lambda config, **options: seen.append(config) or 0
+    )
+    monkeypatch.setitem(registry_mod._REGISTRY, name, patched)
+    assert main(argv) == 0
+    return seen[0]
+
+
+class TestProfilePins:
+    @pytest.mark.parametrize("name", sorted(PAPER_DIGESTS))
+    def test_scenario_reset_is_the_paper_profile(self, name, monkeypatch):
+        from repro.config import config_digest
+        from repro.eval.scenarios import paper_scenario
+
+        config = _resolved(monkeypatch, ["run", name, "--set", "scenario={}"])
+        assert config == _profile_config(name, paper_scenario())
+        assert config_digest(config) == PAPER_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_DIGESTS))
+    def test_defaults_are_the_quick_profile(self, name, monkeypatch):
+        from repro.config import config_digest
+        from repro.eval.scenarios import quick_scenario
+
+        config = _resolved(monkeypatch, ["run", name])
+        assert config == _profile_config(name, quick_scenario())
+        assert config_digest(config) == DEFAULT_DIGESTS[name]
 
 
 class TestRunErrors:
@@ -149,19 +199,20 @@ class TestRunErrors:
         assert code == 2
         assert "scalability" in capsys.readouterr().err
 
-    def test_legacy_table1_bad_set_exits_two(self, capsys):
-        code = main(["table1", "--set", "scenario.durations_bins=9"])
+    def test_nested_bad_override_suggests_the_field(self, capsys):
+        code = main(["run", "table1", "--set", "scenario.durations_bins=9"])
         assert code == 2
         assert "did you mean 'duration_bins'" in capsys.readouterr().err
 
 
 class TestRunTable1Equivalence:
-    def test_run_and_legacy_journals_byte_identical(self, tmp_path, capsys):
-        """The acceptance check: one config, two front doors, same bytes.
+    def test_config_file_and_set_journals_byte_identical(self, tmp_path, capsys):
+        """One config, two spellings, same bytes.
 
-        ``repro table1 --set ...`` and ``repro run table1 --config tiny.toml``
-        must hash to the same journal scope and commit identical payloads
-        in the same order — the journals are compared byte-for-byte.
+        ``repro run table1 --set ...`` and ``repro run table1 --config
+        tiny.toml`` must hash to the same journal scope and commit
+        identical payloads in the same order — the journals are compared
+        byte-for-byte.
         """
         from repro.config import save_config
         from repro.eval.table1 import journal_scope
@@ -170,14 +221,14 @@ class TestRunTable1Equivalence:
         toml_path = tmp_path / "tiny.toml"
         save_config(config, toml_path, experiment="table1")
 
-        legacy_journal = tmp_path / "legacy.jsonl"
-        run_journal = tmp_path / "run.jsonl"
+        set_journal = tmp_path / "set.jsonl"
+        config_journal = tmp_path / "config.jsonl"
         assert (
             main(
                 [
-                    "table1", "--epochs", "1",
-                    "--journal", str(legacy_journal),
-                    *_set_flags(TINY_TABLE1_OVERRIDES),
+                    "run", "table1",
+                    "--journal", str(set_journal),
+                    *_set_flags(["epochs=1", *TINY_TABLE1_OVERRIDES]),
                 ]
             )
             == 0
@@ -187,13 +238,13 @@ class TestRunTable1Equivalence:
                 [
                     "run", "table1",
                     "--config", str(toml_path),
-                    "--journal", str(run_journal),
+                    "--journal", str(config_journal),
                 ]
             )
             == 0
         )
-        assert legacy_journal.read_bytes() == run_journal.read_bytes()
-        assert journal_scope(config) in legacy_journal.read_text()
+        assert set_journal.read_bytes() == config_journal.read_bytes()
+        assert journal_scope(config) in set_journal.read_text()
 
 
 class TestRunKeyboardInterrupt:
