@@ -60,8 +60,15 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    mask = dropout_mask(x.shape, p, rng, x.data.dtype)
     return x * Tensor(mask, dtype=mask.dtype)
+
+
+def dropout_mask(
+    shape: tuple[int, ...], p: float, rng: np.random.Generator, dtype
+) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 with probability ``p``, else 1/(1-p)."""
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

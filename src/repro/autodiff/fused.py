@@ -14,7 +14,13 @@ mathematical function as one graph node with a closed-form backward:
   ``y * (g - sum(g * y))``; layer-norm: the three-term mean/variance
   formula; GELU: the tanh-approximation derivative).  They agree with
   the composite backwards to floating-point round-off (the summation
-  order differs), which the test suite pins.
+  order differs), which the test suite pins;
+* :func:`attention_core` is one node for scaled-dot-product attention
+  from QK^T to the context.  It owns the score matrix, the largest
+  array in the model, and retains only its probabilities.  Its backward
+  uses the closed-form softmax gradient too, in the op order of the
+  matmul/softmax/dropout/matmul node chain it replaced, whose gradients
+  it reproduces bit for bit.
 
 Fusion is enabled by default; :func:`set_fused_kernels` /
 :func:`fused_kernels` switch back to the composite reference path, which
@@ -84,38 +90,65 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(y, (x,), backward)
 
 
-def scale_softmax(
-    x: Tensor, scale: float, mask: np.ndarray | None = None, axis: int = -1
+def attention_core(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    scale: float,
+    mask: np.ndarray | None = None,
+    dropout: np.ndarray | None = None,
 ) -> Tensor:
-    """Fused ``softmax(x * scale + mask)`` — the attention-probability op.
+    """Fused ``softmax(q @ kᵀ * scale + mask) [* dropout] @ v`` as one node.
 
-    Mirrors the composite sequence (scalar mul, optional mask add, then
-    the stable softmax) value for value, but as one graph node: the
-    scaled scores buffer is reused in place for the shift, exp and
-    normalisation, and the backward folds the scale into the softmax
-    gradient instead of adding a separate mul node over the largest
-    array in the model.
+    ``dropout`` is the inverted-dropout multiplier over the probabilities
+    (already divided by ``1 - p``), or ``None`` when dropout is inactive.
+    The forward runs the composite op sequence value for value: the
+    QK^T buffer is scaled in place and reused for the shift, exp and
+    normalisation.  The node retains only the probabilities (plus the
+    dropped copy while dropout is active), where a chain of nodes keeps
+    the raw scores as well, and the score-sized gradients flowing
+    between them.
+
+    The backward applies the closed-form softmax gradient in the op
+    order of the QK^T-matmul, softmax, dropout and context-matmul node
+    chain, so its gradients equal that chain's bit for bit.  The row
+    sums of ``dP * P`` are taken one leading-axis slice at a time: a
+    contiguous row sums the same way inside a slice, and the full-size
+    product buffer is never allocated.
     """
     scale = float(scale)  # weak scalar: float32 inputs stay float32
-    t = x.data * scale
+    t = q.data @ np.swapaxes(k.data, -1, -2)
+    t *= scale
     if mask is not None:
         t += mask
-    m = t.max(axis=axis, keepdims=True)
-    np.subtract(t, m, out=t)
+    np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
     np.exp(t, out=t)
-    y = t
-    y /= y.sum(axis=axis, keepdims=True)
+    probs = t
+    probs /= probs.sum(axis=-1, keepdims=True)
+    dropped = probs if dropout is None else probs * dropout
+    out = dropped @ v.data
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            out = grad * y
-            inner = out.sum(axis=axis, keepdims=True)
-            np.subtract(grad, inner, out=out)
-            out *= y
-            out *= scale
-            x._accumulate(out)
+        # ``grad`` is only read: it may be another node's live gradient.
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(dropped, -1, -2) @ grad)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = grad @ np.swapaxes(v.data, -1, -2)
+        if dropout is not None:
+            dp *= dropout
+        inner = np.empty(dp.shape[:-1] + (1,), dtype=dp.dtype)
+        for i in range(dp.shape[0]):
+            inner[i] = (dp[i] * probs[i]).sum(axis=-1, keepdims=True)
+        dp -= inner
+        dp *= probs
+        dp *= scale
+        if q.requires_grad:
+            q._accumulate(dp @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ dp, -1, -2))
 
-    return x._make(y, (x,), backward)
+    return q._make(out, (q, k, v), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

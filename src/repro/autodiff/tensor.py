@@ -3,7 +3,8 @@
 Each operation returns a new :class:`Tensor` whose ``_backward`` closure
 knows how to push the output gradient to its parents.  Calling
 :meth:`Tensor.backward` runs a topological sort of the recorded graph and
-accumulates gradients into every tensor with ``requires_grad=True``.
+accumulates gradients into every leaf tensor with ``requires_grad=True``;
+each interior gradient is released once it has been propagated.
 
 The op set is intentionally the minimum the rest of the library needs
 (transformer layers, EMD loss, differentiable constraint relaxations), but
@@ -261,7 +262,9 @@ class Tensor:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to ones, which is the usual seed for a scalar
-        loss; for non-scalars an explicit seed must be provided.
+        loss; for non-scalars an explicit seed must be provided.  Leaf
+        gradients accumulate across calls; every interior gradient, this
+        tensor's included, is ``None`` again when the call returns.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -298,6 +301,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Nothing reads an interior gradient once it has been
+                # propagated: free it now, and keep a repeated backward
+                # over the same graph from re-adding stale sums.
+                node.grad = None
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""

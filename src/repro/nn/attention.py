@@ -99,21 +99,27 @@ class MultiHeadAttention(Module):
         k = self._split_heads(k, batch, k_len)
         v = self._split_heads(v, batch, k_len)
 
-        raw = q @ k.swapaxes(-1, -2)
         # float() keeps the scalar weakly typed so float32 stays float32.
         scale = float(1.0 / np.sqrt(self.head_dim))
         if _fused.fused_kernels_enabled():
-            # One node for scale + mask + softmax over the largest array
-            # in the model; value-identical to the composite sequence.
-            cast_mask = None if mask is None else np.asarray(mask, dtype=raw.data.dtype)
-            weights = _fused.scale_softmax(raw, scale, mask=cast_mask, axis=-1)
+            # One node owns the score matrix from QK^T to the context;
+            # value-identical to the composite sequence below, and the
+            # dropout mask is drawn from the same RNG at the same point.
+            dtype = q.data.dtype
+            cast_mask = None if mask is None else np.asarray(mask, dtype=dtype)
+            drop_mask = self.attn_dropout.draw_mask(
+                (batch, self.num_heads, q_len, k_len), dtype
+            )
+            context = _fused.attention_core(
+                q, k, v, scale, mask=cast_mask, dropout=drop_mask
+            )
         else:
+            raw = q @ k.swapaxes(-1, -2)
             scores = raw * scale
             if mask is not None:
                 scores = scores + Tensor(mask, dtype=scores.data.dtype)
             weights = F.softmax(scores, axis=-1)
-        weights = self.attn_dropout(weights)
-
-        context = weights @ v  # (batch, heads, q_len, head_dim)
+            weights = self.attn_dropout(weights)
+            context = weights @ v  # (batch, heads, q_len, head_dim)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.d_model)
         return self.out_proj(merged)

@@ -90,6 +90,13 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self._rng, self.training)
 
+    def draw_mask(self, shape: tuple[int, ...], dtype) -> Optional[np.ndarray]:
+        """Draw the multiplier ``forward`` would apply to an input of
+        ``shape``, or return ``None`` (drawing nothing) when inactive."""
+        if not self.training or self.p <= 0.0:
+            return None
+        return F.dropout_mask(shape, self.p, self._rng, dtype)
+
 
 class Sequential(Module):
     """Run modules in order, feeding each output into the next module."""

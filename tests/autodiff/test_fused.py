@@ -146,59 +146,155 @@ class TestBackwardAgreement:
         )
 
 
-class TestScaleSoftmax:
-    """The fused scale+mask+softmax attention-probability node."""
-
-    def _composite(self, x, scale, mask):
-        scores = Tensor(x) * scale
+def _composite_attention(q, k, v, scale, mask=None):
+    """The unfused reference graph for ``attention_core``."""
+    with fused_kernels(False):
+        scores = q @ k.swapaxes(-1, -2) * scale
         if mask is not None:
-            scores = scores + Tensor(mask)
-        with fused_kernels(False):
-            return F.softmax(scores, axis=-1)
+            scores = scores + Tensor(mask, dtype=scores.data.dtype)
+        return F.softmax(scores, axis=-1) @ v
 
-    @pytest.mark.parametrize("shape", [(5, 7), (2, 3, 8)])
-    def test_forward_bit_identical(self, rng, shape):
-        x = rng.normal(size=shape)
-        expected = self._composite(x, 0.25, None).numpy()
-        actual = fused.scale_softmax(Tensor(x), 0.25).numpy()
+
+def _node_chain_attention(q, k, v, g, scale, mask=None, dropout=None):
+    """numpy transcription of the attention graph before ``attention_core``.
+
+    Forward: a QK^T matmul node, the fused scale+mask+softmax node, the
+    dropout multiply and the context matmul.  Backward: their closures in
+    the order the graph ran them — context matmul, dropout multiply,
+    softmax, QK^T matmul, then the swapaxes that produced K^T.
+    """
+    k_t = np.swapaxes(k, -1, -2)
+    raw = q @ k_t
+    t = raw * scale
+    if mask is not None:
+        t += mask
+    np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
+    np.exp(t, out=t)
+    probs = t
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if dropout is None else probs * dropout
+    out = weights @ v
+
+    d_weights = g @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(weights, -1, -2) @ g
+    d_probs = d_weights if dropout is None else d_weights * dropout
+    d_raw = d_probs * probs
+    inner = d_raw.sum(axis=-1, keepdims=True)
+    np.subtract(d_probs, inner, out=d_raw)
+    d_raw *= probs
+    d_raw *= scale
+    dq = d_raw @ np.swapaxes(k_t, -1, -2)
+    dk = np.swapaxes(np.swapaxes(q, -1, -2) @ d_raw, -1, -2)
+    return out, dq, dk, dv
+
+
+def _heads(rng, shape, dtype):
+    """A (batch, heads, seq, head_dim) view in the model's head layout."""
+    batch, heads, seq, dim = shape
+    return rng.normal(size=(batch, seq, heads, dim)).astype(dtype).transpose(0, 2, 1, 3)
+
+
+def _causal_mask(seq, dtype):
+    return np.triu(np.full((seq, seq), -1e9), k=1).astype(dtype)
+
+
+class TestAttentionCore:
+    """The fused QK^T -> softmax -> dropout -> context attention node."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_forward_bit_identical_to_composite(self, rng, dtype, masked):
+        q, k, v = (_heads(rng, (2, 3, 7, 4), dtype) for _ in range(3))
+        mask = _causal_mask(7, dtype) if masked else None
+        expected = _composite_attention(
+            Tensor(q, dtype=dtype), Tensor(k, dtype=dtype), Tensor(v, dtype=dtype),
+            0.5, mask,
+        ).numpy()
+        actual = fused.attention_core(
+            Tensor(q, dtype=dtype), Tensor(k, dtype=dtype), Tensor(v, dtype=dtype),
+            0.5, mask=mask,
+        ).numpy()
+        assert actual.dtype == dtype
         np.testing.assert_array_equal(actual, expected)
 
-    @pytest.mark.parametrize("shape", [(5, 7), (2, 3, 8)])
-    def test_forward_with_mask_bit_identical(self, rng, shape):
-        x = rng.normal(size=shape)
-        mask = np.where(rng.random(shape) < 0.3, -1e9, 0.0)
-        expected = self._composite(x, 0.5, mask).numpy()
-        actual = fused.scale_softmax(Tensor(x), 0.5, mask=mask).numpy()
-        np.testing.assert_array_equal(actual, expected)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_backward_agrees_with_composite(self, rng, masked):
+        arrays = [_heads(rng, (2, 3, 7, 4), np.float64) for _ in range(3)]
+        mask = _causal_mask(7, np.float64) if masked else None
+        weights = rng.normal(size=(2, 3, 7, 4))
+        grads = {}
+        for name, op in (
+            ("composite", lambda q, k, v: _composite_attention(q, k, v, 0.5, mask)),
+            ("fused", lambda q, k, v: fused.attention_core(q, k, v, 0.5, mask=mask)),
+        ):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            (op(*tensors) * Tensor(weights)).sum().backward()
+            grads[name] = [t.grad for t in tensors]
+        for ref, fast in zip(grads["composite"], grads["fused"]):
+            np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=1e-10)
 
-    def test_backward_agrees_with_composite(self, rng):
-        x = rng.normal(size=(4, 6))
-        mask = np.where(rng.random((4, 6)) < 0.3, -1e9, 0.0)
-        weights = rng.normal(size=(4, 6))
-        ref = Tensor(x, requires_grad=True)
-        with fused_kernels(False):
-            out = F.softmax(ref * 0.25 + Tensor(mask), axis=-1)
-        (out * Tensor(weights)).sum().backward()
-        fast = Tensor(x, requires_grad=True)
-        (fused.scale_softmax(fast, 0.25, mask=mask) * Tensor(weights)).sum().backward()
-        np.testing.assert_allclose(fast.grad, ref.grad, atol=1e-12, rtol=1e-10)
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_gradcheck(self, gradcheck, rng, wrt):
+        arrays = [rng.normal(size=(2, 2, 4, 3)) for _ in range(3)]
+        mask = _causal_mask(4, np.float64)
+        weights = rng.normal(size=(2, 2, 4, 3))
 
-    def test_gradcheck(self, gradcheck, rng):
-        weights = rng.normal(size=(3, 4))
-        gradcheck(
-            lambda t: (fused.scale_softmax(t, 0.3) * Tensor(weights)).sum(),
-            rng.normal(size=(3, 4)),
-        )
+        def f(t):
+            args = [Tensor(a) for a in arrays]
+            args[wrt] = t
+            return (fused.attention_core(*args, 0.4, mask=mask) * Tensor(weights)).sum()
+
+        gradcheck(f, arrays[wrt])
 
     def test_incoming_grad_not_mutated(self, rng):
         # The backward must never write through the incoming gradient —
         # with borrow-store accumulation it may be another node's .grad.
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        out = fused.scale_softmax(x, 0.5)
-        seed = rng.normal(size=(3, 5))
+        q, k, v = (Tensor(rng.normal(size=(2, 2, 5, 3)), requires_grad=True) for _ in range(3))
+        dropout = (rng.random((2, 2, 5, 5)) >= 0.2) / 0.8
+        out = fused.attention_core(q, k, v, 0.5, dropout=dropout)
+        seed = rng.normal(size=(2, 2, 5, 3))
         expected = seed.copy()
         out.backward(seed)
         np.testing.assert_array_equal(seed, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_exact_pin_against_unfused_node_sequence(self, dtype, masked, p):
+        """Paper shape: output and q/k/v grads equal the replaced graph's bits."""
+        rng = np.random.default_rng(20)
+        shape = (8, 4, 300, 8)
+        q, k, v, g = (_heads(rng, shape, dtype) for _ in range(4))
+        scale = float(1.0 / np.sqrt(shape[-1]))
+        mask = _causal_mask(shape[2], dtype) if masked else None
+        dropout = (
+            F.dropout_mask((8, 4, 300, 300), p, np.random.default_rng(7), dtype)
+            if p
+            else None
+        )
+        expected = _node_chain_attention(q, k, v, g, scale, mask=mask, dropout=dropout)
+        tensors = [Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+        out = fused.attention_core(*tensors, scale, mask=mask, dropout=dropout)
+        out.backward(g)
+        actual = (out.numpy(),) + tuple(t.grad for t in tensors)
+        for name, a, e in zip(("out", "dq", "dk", "dv"), actual, expected):
+            assert a.dtype == dtype, name
+            np.testing.assert_array_equal(a, e, err_msg=name)
+
+    def test_module_dropout_draws_like_composite(self, rng):
+        """Attention dropout: same mask, same RNG state, same output bits."""
+        from repro.nn import MultiHeadAttention
+
+        x = rng.normal(size=(2, 6, 8))
+        results = {}
+        for enabled in (False, True):
+            attn = MultiHeadAttention(8, 2, dropout=0.3, seed=5)
+            attn.train()
+            with fused_kernels(enabled):
+                out = attn(Tensor(x)).numpy()
+            results[enabled] = (out, attn.attn_dropout._rng.random())
+        np.testing.assert_array_equal(results[True][0], results[False][0])
+        assert results[True][1] == results[False][1]
 
 
 class TestSliceLast:

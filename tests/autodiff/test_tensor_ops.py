@@ -193,6 +193,26 @@ class TestGraphMechanics:
         y2.backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_repeated_backward_adds_only_leaf_gradients(self):
+        # Each call adds dz/dx = 18x once; stale interior sums must not
+        # be re-propagated by the second call.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        z = ((x * 3) ** 2).sum()
+        z.backward()
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [36.0, 72.0])
+
+    def test_backward_releases_interior_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([0.5, -1.0], requires_grad=True)
+        h = x * w
+        z = (h * h).sum()
+        z.backward()
+        assert h.grad is None
+        assert z.grad is None
+        np.testing.assert_array_equal(x.grad, [0.5, 4.0])
+        np.testing.assert_array_equal(w.grad, [1.0, -8.0])
+
     def test_diamond_graph(self):
         x = Tensor([3.0], requires_grad=True)
         a = x * 2
