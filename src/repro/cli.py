@@ -232,13 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", choices=("paper", "quick"), default="quick")
         p.add_argument("--seed", type=int, default=0)
 
-    def observable(p, profile_alias=False):
+    def observable(p):
         """Add the opt-in observability flags (see docs/observability.md).
 
         ``--profile`` is taken by the model-file subcommands (scenario
         profile ``paper``/``quick``), so the cProfile flag is spelled
-        ``--profile-dir`` everywhere and additionally aliased to
-        ``--profile`` on ``repro run <experiment>``.
+        ``--profile-dir`` everywhere.
         """
         p.add_argument(
             "--trace",
@@ -260,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="snapshot counters/gauges/histograms/series to PATH "
             "(default repro-metrics.json; accumulates across runs)",
         )
-        flags = ["--profile-dir"] + (["--profile"] if profile_alias else [])
         p.add_argument(
-            *flags,
+            "--profile-dir",
             dest="obs_profile",
             type=Path,
             nargs="?",
@@ -309,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_sub = p.add_subparsers(dest="experiment", required=True)
     for experiment in iter_experiments():
-        ep = run_sub.add_parser(experiment.name, help=experiment.summary)
+        # No prefix matching: `--profile` must not resolve to `--profile-dir`.
+        ep = run_sub.add_parser(
+            experiment.name, help=experiment.summary, allow_abbrev=False
+        )
         ep.add_argument(
             "--config",
             type=Path,
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. --set scenario.duration_bins=4000, or --set scenario={} "
             "for the paper-scale scenario); repeatable",
         )
-        observable(ep, profile_alias=True)
+        observable(ep)
         for option in experiment.cli_options:
             ep.add_argument(*option.flags, dest=option.dest, **dict(option.kwargs))
         ep.set_defaults(func=cmd_run)

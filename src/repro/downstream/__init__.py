@@ -31,12 +31,6 @@ from repro.downstream.provisioning import (
     provisioning_gap,
     recommend_buffer,
 )
-from repro.downstream.health import (
-    HealthReport,
-    evaluate_health,
-    ewma_queue,
-    red_drop_probability,
-)
 
 __all__ = [
     "Burst",
@@ -59,8 +53,4 @@ __all__ = [
     "burst_statistics",
     "recommend_buffer",
     "provisioning_gap",
-    "HealthReport",
-    "evaluate_health",
-    "ewma_queue",
-    "red_drop_probability",
 ]

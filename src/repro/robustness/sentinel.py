@@ -16,9 +16,8 @@ scores — it degrades the calibration windows at the robustness grid's
 worst telemetry corruption (:data:`SHIFT_CAL_LANZ`/:data:`SHIFT_CAL_SNMP`,
 via :mod:`repro.robustness.degrade` under a fixed seed) and places the
 threshold midway between the in-distribution quantile and the median
-shifted score.  The legacy fixed-quantile behaviour stays available as
-``threshold="quantile"``, and an explicit float pins the bar directly.
-The resulting frozen :class:`OODSentinel` is handed to
+shifted score.  An explicit float pins the bar directly.  The resulting
+frozen :class:`OODSentinel` is handed to
 :class:`~repro.serve.service.StreamService`, which observes every
 window's score into the ``serve.ood.score`` histogram and flags (or
 quarantines) windows above the threshold.  The sentinel never mutates
@@ -41,8 +40,8 @@ from repro.telemetry.dataset import ImputationSample, TelemetryDataset
 class OODSentinel:
     """A calibrated shift detector over pre-enforcement constraint residuals.
 
-    ``threshold`` is the calibrated ``quantile`` of in-distribution
-    scores; :meth:`flags` is the deployment predicate.  ``qlen_scale``
+    ``threshold`` is the exceedance bar (see :func:`calibrate_sentinel`);
+    :meth:`flags` is the deployment predicate.  ``qlen_scale``
     normalises the CEM correction mass into the same dimensionless range
     as the residual terms (it is the training scaler's queue scale).
     """
@@ -52,10 +51,9 @@ class OODSentinel:
     qlen_scale: float
     calibration_size: int
     # How the threshold was derived: "shift" (measured separation from
-    # degraded windows, the default), "quantile" (legacy fixed quantile),
-    # or "fixed" (caller-supplied).  Trailing with a default so existing
-    # positional constructions keep working.
-    calibration: str = "quantile"
+    # degraded windows, calibrate_sentinel's default) or "fixed"
+    # (caller-supplied, as for any directly constructed sentinel).
+    calibration: str = "fixed"
 
     def score(
         self,
@@ -106,7 +104,7 @@ def calibrate_sentinel(
     quantile: float = 0.99,
     use_cem: bool = True,
     batch_size: int = 16,
-    threshold: float | str | None = None,
+    threshold: float | None = None,
 ) -> OODSentinel:
     """Calibrate a sentinel on in-distribution windows.
 
@@ -121,25 +119,28 @@ def calibrate_sentinel(
       :data:`SHIFT_CAL_SNMP`, fixed seed) and re-scored; the bar sits
       midway between the in-distribution ``quantile`` score and the
       median shifted score.  If the shift does not separate (median
-      shifted score at or below the quantile), the quantile is kept —
-      never a *lower* bar than the legacy one.
-    * ``"quantile"`` — the legacy behaviour: the bar is exactly the
-      ``quantile`` of in-distribution scores.
-    * a float — pin the bar directly, skipping the shifted re-score.
+      shifted score at or below the quantile), the bar is the quantile
+      itself — never below it.
+    * a float — pin the bar directly; nothing is scored.
 
-    Deterministic in every mode: the model, the dataset, the CEM
+    Deterministic in both modes: the model, the dataset, the CEM
     projection, and the calibration degradation seed all are.
     """
     from repro.imputation.cem import ConstraintEnforcer
 
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    if isinstance(threshold, str) and threshold != "quantile":
-        raise ValueError(
-            f'threshold must be None, "quantile", or a float, got {threshold!r}'
-        )
+    if isinstance(threshold, str):
+        raise ValueError(f"threshold must be None or a float, got {threshold!r}")
     if len(dataset) == 0:
         raise ValueError("cannot calibrate a sentinel on an empty dataset")
+    if threshold is not None:
+        return OODSentinel(
+            threshold=float(threshold),
+            quantile=float(quantile),
+            qlen_scale=dataset.scaler.qlen_scale,
+            calibration_size=len(dataset),
+        )
     enforcer = (
         ConstraintEnforcer(dataset.switch_config, vectorized=True) if use_cem else None
     )
@@ -151,6 +152,7 @@ def calibrate_sentinel(
     )
 
     from repro.imputation.cem import CEMInfeasibleError
+    from repro.robustness.degrade import degrade_dataset_samples
 
     def scored(samples: list) -> list[float]:
         out: list[float] = []
@@ -171,29 +173,18 @@ def calibrate_sentinel(
 
     scores = scored(list(dataset.samples))
     in_dist = float(np.quantile(np.asarray(scores), quantile))
-    if threshold is None:
-        from repro.robustness.degrade import degrade_dataset_samples
-
-        shifted_samples = degrade_dataset_samples(
-            list(dataset.samples),
-            dataset.scaler,
-            lanz_threshold=SHIFT_CAL_LANZ,
-            snmp_loss=SHIFT_CAL_SNMP,
-            seed=SHIFT_CAL_SEED,
-        )
-        shifted = float(np.median(np.asarray(scored(shifted_samples))))
-        value = (in_dist + shifted) / 2.0 if shifted > in_dist else in_dist
-        calibration = "shift"
-    elif threshold == "quantile":
-        value = in_dist
-        calibration = "quantile"
-    else:
-        value = float(threshold)
-        calibration = "fixed"
+    shifted_samples = degrade_dataset_samples(
+        list(dataset.samples),
+        dataset.scaler,
+        lanz_threshold=SHIFT_CAL_LANZ,
+        snmp_loss=SHIFT_CAL_SNMP,
+        seed=SHIFT_CAL_SEED,
+    )
+    shifted = float(np.median(np.asarray(scored(shifted_samples))))
     return OODSentinel(
-        threshold=value,
+        threshold=(in_dist + shifted) / 2.0 if shifted > in_dist else in_dist,
         quantile=float(quantile),
         qlen_scale=dataset.scaler.qlen_scale,
         calibration_size=len(scores),
-        calibration=calibration,
+        calibration="shift",
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.config.errors import ConfigError
 from repro.eval.scenarios import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,6 +77,18 @@ class ShiftPoint:
         return [int(base_seed), AXIS_STREAMS[self.axis], int(round(self.value * 1000))]
 
 
+#: (config field, axis, in-distribution anchor), in grid order.
+_AXIS_FIELDS = (
+    ("load_scales", "load", 1.0),
+    ("burst_scales", "burst", 1.0),
+    ("buffer_scales", "buffer", 1.0),
+    ("lanz_thresholds", "lanz", 0.0),
+    ("snmp_losses", "snmp", 0.0),
+    ("topology_leaves", "topology", 1),
+    ("red_drop_probs", "aqm", 0.0),
+)
+
+
 def _scaled_int(value: int, scale: float, floor: int = 1) -> int:
     return max(floor, int(round(value * scale)))
 
@@ -85,34 +98,28 @@ def shift_grid(config: "RobustnessConfig") -> list[ShiftPoint]:
 
     Per axis, the first configured value is the in-distribution anchor;
     validation of that convention lives here so a mis-ordered config
-    fails loudly before any training happens.
+    fails loudly before any training happens.  The workload and telemetry
+    axes must be non-empty (an empty one would make the "degrades no
+    faster on every axis" claim vacuous); the structural axes are opt-in.
     """
     base = config.scenario
     points: list[ShiftPoint] = []
-    axes = {
-        "load": config.load_scales,
-        "burst": config.burst_scales,
-        "buffer": config.buffer_scales,
-        "lanz": config.lanz_thresholds,
-        "snmp": config.snmp_losses,
-        "topology": config.topology_leaves,
-        "aqm": config.red_drop_probs,
-    }
-    anchors = {
-        "load": 1.0,
-        "burst": 1.0,
-        "buffer": 1.0,
-        "lanz": 0.0,
-        "snmp": 0.0,
-        "topology": 1,
-        "aqm": 0.0,
-    }
-    for axis, values in axes.items():
-        if values and values[0] != anchors[axis]:
-            raise ValueError(
+    for field, axis, anchor in _AXIS_FIELDS:
+        values = getattr(config, field)
+        if not values:
+            if axis in STRUCTURAL_AXES:
+                continue
+            raise ConfigError(
+                f"axis {axis!r} needs at least its in-distribution anchor "
+                f"{anchor!r}; an empty axis drops out of the shift claim",
+                path=field,
+            )
+        if values[0] != anchor:
+            raise ConfigError(
                 f"axis {axis!r} must start at its in-distribution anchor "
-                f"{anchors[axis]!r} (got {values[0]!r}); degradation curves "
-                "are normalised to the first point"
+                f"{anchor!r} (got {values[0]!r}); degradation curves "
+                "are normalised to the first point",
+                path=field,
             )
     for scale in config.load_scales:
         points.append(

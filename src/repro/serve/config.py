@@ -59,8 +59,7 @@ class ServeConfig:
     ood_action: str = "off"
     ood_quantile: float = 0.99  # calibration quantile on in-distribution scores
     # None = shift-driven calibration (measured separation from degraded
-    # windows); a float pins the exceedance bar directly.  The legacy
-    # fixed-quantile bar is calibrate_sentinel(..., threshold="quantile").
+    # windows); a float pins the exceedance bar directly.
     ood_threshold: float | None = None
 
     # --- live operation: health + SLOs (all off/neutral by default) ----

@@ -43,13 +43,6 @@ from repro.switchsim.simulation import Simulation, SimulationTrace
 from repro.switchsim.engine import ArraySwitchEngine, EngineUnsupported
 from repro.switchsim.cache import TraceCache
 from repro.switchsim.io import load_trace, save_trace
-from repro.switchsim.voq import (
-    IslipScheduler,
-    VoqConfig,
-    VoqSimulation,
-    VoqSwitch,
-    VoqTrace,
-)
 
 __all__ = [
     "Packet",
@@ -80,9 +73,4 @@ __all__ = [
     "TraceCache",
     "save_trace",
     "load_trace",
-    "VoqConfig",
-    "VoqSwitch",
-    "VoqSimulation",
-    "VoqTrace",
-    "IslipScheduler",
 ]

@@ -22,7 +22,6 @@ from repro.telemetry.fabric import build_fabric_datasets, cross_switch_channels
 from repro.telemetry.noise import (
     apply_lanz_threshold,
     drop_snmp_intervals,
-    quantise_counters,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "build_dataset",
     "apply_lanz_threshold",
     "drop_snmp_intervals",
-    "quantise_counters",
 ]

@@ -1,12 +1,11 @@
 """Telemetry degradation models for robustness experiments.
 
-Real monitoring pipelines are imperfect: SNMP polls get lost, LANZ only
-reports queues above a configurable threshold (§2.1 footnote 1), and
-counters are quantised.  These helpers degrade a
-:class:`~repro.telemetry.sampling.CoarseTelemetry` in controlled ways so
-experiments can measure how gracefully the imputation methods cope — one
-angle on the paper's research question about using knowledge *"to fight
-the scarcity or bias of datasets"*.
+Real monitoring pipelines are imperfect: SNMP polls get lost, and LANZ
+only reports queues above a configurable threshold (§2.1 footnote 1).
+These helpers degrade a :class:`~repro.telemetry.sampling.CoarseTelemetry`
+in controlled ways so experiments can measure how gracefully the
+imputation methods cope — one angle on the paper's research question
+about using knowledge *"to fight the scarcity or bias of datasets"*.
 
 Degradations keep the telemetry *internally consistent* (max >= sample
 everywhere) so constraint checking stays well-posed; missing values are
@@ -79,27 +78,4 @@ def drop_snmp_intervals(telemetry: CoarseTelemetry, lost: np.ndarray) -> CoarseT
         received=carry_forward(telemetry.received, lost),
         sent=carry_forward(telemetry.sent, lost),
         dropped=carry_forward(telemetry.dropped, lost),
-    )
-
-
-def quantise_counters(telemetry: CoarseTelemetry, step: int) -> CoarseTelemetry:
-    """Quantise SNMP counters to multiples of ``step`` (coarse reporting).
-
-    Counters are rounded to the *nearest* multiple, which models reporting
-    granularity.  Note that rounding ``sent`` downward can make a real
-    trace violate C3 (``NE <= sent``), so experiments that feed quantised
-    telemetry into the CEM should treat infeasibility as a measured
-    outcome, not an error.
-    """
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-
-    def quantise(series: np.ndarray) -> np.ndarray:
-        return np.round(series / step) * step
-
-    return dataclasses.replace(
-        telemetry,
-        received=quantise(telemetry.received),
-        sent=quantise(telemetry.sent),
-        dropped=quantise(telemetry.dropped),
     )

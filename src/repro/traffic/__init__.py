@@ -31,7 +31,7 @@ from repro.traffic.generators import (
     ScriptedTraffic,
     TrafficGenerator,
 )
-from repro.traffic.extra import OnOffTraffic, ReplayTraffic
+from repro.traffic.extra import OnOffTraffic
 from repro.traffic.flows import FlowTrafficConfig, FlowTrafficGenerator
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "CompositeTraffic",
     "ScriptedTraffic",
     "OnOffTraffic",
-    "ReplayTraffic",
     "FlowTrafficConfig",
     "FlowTrafficGenerator",
 ]

@@ -1,14 +1,10 @@
-"""Additional traffic generators: Markov on-off sources and trace replay.
+"""Markov on-off traffic, a bursty source beside the websearch/incast mix of §4.
 
-These complement the websearch/incast mix of §4:
-
-* :class:`OnOffTraffic` — per-source two-state Markov (ON: one packet per
-  step to a fixed destination, OFF: silence).  The classic bursty-source
-  model; useful for stressing buffer sharing with tunable burstiness.
-* :class:`ReplayTraffic` — replays explicit per-step arrival arrays, so
-  users can drive the simulator from recorded or externally generated
-  traces (the "short real trace" the paper suggests operators can train
-  from).
+:class:`OnOffTraffic` is a per-source two-state Markov source (ON: one
+packet per step to a fixed destination, OFF: silence), the classic
+bursty-source model with tunable burstiness.  The engine-equivalence
+property tests drive both switch engines with it; recorded per-step
+arrivals are replayed with :class:`~repro.traffic.generators.ScriptedTraffic`.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ class OnOffTraffic(_SequentialMixin, TrafficGenerator):
         self._dst = self._rng.integers(0, self.num_ports, size=self.num_sources)
         probs = weights / weights.sum()
         self._qclass = self._rng.choice(len(probs), size=self.num_sources, p=probs)
-        self._flow_counter = 0
 
     @property
     def expected_load_per_source(self) -> float:
@@ -74,7 +69,6 @@ class OnOffTraffic(_SequentialMixin, TrafficGenerator):
             self._dst[turning_on] = self._rng.integers(
                 0, self.num_ports, size=int(turning_on.sum())
             )
-            self._flow_counter += int(turning_on.sum())
         self._on = (self._on | turning_on) & ~turning_off
 
         return [
@@ -86,44 +80,3 @@ class OnOffTraffic(_SequentialMixin, TrafficGenerator):
             )
             for src in np.nonzero(self._on)[0]
         ]
-
-
-class ReplayTraffic(_SequentialMixin, TrafficGenerator):
-    """Replays per-step arrival counts from arrays.
-
-    ``arrivals_per_queue`` is shaped ``(num_queues, num_steps)`` in flat
-    queue order (``port * queues_per_port + qclass``); entry ``[q, t]``
-    packets arrive for queue ``q`` at step ``t``.  Steps beyond the array
-    are silent.
-    """
-
-    def __init__(self, arrivals_per_queue: np.ndarray, queues_per_port: int):
-        check_positive("queues_per_port", queues_per_port)
-        arr = np.asarray(arrivals_per_queue)
-        if arr.ndim != 2:
-            raise ValueError(f"arrivals_per_queue must be 2-D, got shape {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError("arrival counts must be non-negative")
-        if arr.shape[0] % queues_per_port:
-            raise ValueError(
-                f"{arr.shape[0]} queues not divisible by queues_per_port={queues_per_port}"
-            )
-        self._arr = arr.astype(np.int64)
-        self.queues_per_port = int(queues_per_port)
-
-    @property
-    def num_steps(self) -> int:
-        return self._arr.shape[1]
-
-    def arrivals(self, step: int) -> list[Packet]:
-        self._check_step(step)
-        if step >= self.num_steps:
-            return []
-        packets: list[Packet] = []
-        for queue in np.nonzero(self._arr[:, step])[0]:
-            port, qclass = divmod(int(queue), self.queues_per_port)
-            packets.extend(
-                Packet(dst_port=port, qclass=qclass, flow_id=-1, arrival_step=step)
-                for _ in range(int(self._arr[queue, step]))
-            )
-        return packets

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.imputation.cem import ConstraintEnforcer
 from repro.robustness.sentinel import OODSentinel, calibrate_sentinel
 
 
@@ -23,12 +24,35 @@ class _OracleModel:
 
 
 @pytest.fixture(scope="module")
-def sentinel(micro_datasets):
-    # The legacy fixed-quantile calibration; the shift-driven default is
-    # covered separately by TestShiftDrivenCalibration.
+def in_dist_q99(micro_datasets):
+    """The 0.99 quantile of the oracle's in-distribution scores.
+
+    Scored here the way calibration scores a window: pre-enforcement
+    residuals plus the vectorized CEM's correction mass.
+    """
+    train, _, _ = micro_datasets
+    enforcer = ConstraintEnforcer(train.switch_config, vectorized=True)
+    probe = OODSentinel(
+        threshold=float("inf"),
+        quantile=0.99,
+        qlen_scale=train.scaler.qlen_scale,
+        calibration_size=0,
+    )
+    samples = list(train.samples)
+    scores = [
+        probe.score(pre, enforcer.enforce(pre, sample), sample, train.switch_config)
+        for sample, pre in zip(samples, _OracleModel().impute_batch(samples))
+    ]
+    return float(np.quantile(np.asarray(scores), 0.99))
+
+
+@pytest.fixture(scope="module")
+def sentinel(micro_datasets, in_dist_q99):
+    # A bar pinned at the in-distribution 0.99 quantile; the shift-driven
+    # default is covered separately by TestShiftDrivenCalibration.
     train, _, _ = micro_datasets
     return calibrate_sentinel(
-        _OracleModel(), train, quantile=0.99, threshold="quantile"
+        _OracleModel(), train, quantile=0.99, threshold=in_dist_q99
     )
 
 
@@ -38,7 +62,7 @@ class TestCalibration:
         assert sentinel.quantile == 0.99
         assert sentinel.calibration_size == len(train)
         assert sentinel.qlen_scale == train.scaler.qlen_scale
-        assert sentinel.calibration == "quantile"
+        assert sentinel.calibration == "fixed"
         assert np.isfinite(sentinel.threshold)
 
     def test_oracle_threshold_is_small(self, sentinel):
@@ -73,8 +97,9 @@ class TestCalibration:
 
     def test_bad_threshold_string_rejected(self, micro_datasets):
         train, _, _ = micro_datasets
-        with pytest.raises(ValueError, match="threshold"):
-            calibrate_sentinel(_OracleModel(), train, threshold="median")
+        for bad in ("median", "quantile"):
+            with pytest.raises(ValueError, match="threshold"):
+                calibrate_sentinel(_OracleModel(), train, threshold=bad)
 
 
 class TestShiftDrivenCalibration:
@@ -85,16 +110,15 @@ class TestShiftDrivenCalibration:
         shift = calibrate_sentinel(_OracleModel(), train, quantile=0.99)
         assert shift.calibration == "shift"
 
-    def test_sits_between_quantile_and_shifted_scores(self, micro_datasets):
+    def test_sits_between_quantile_and_shifted_scores(
+        self, micro_datasets, in_dist_q99
+    ):
         # The oracle scores ~0 in-distribution; degraded windows score
         # strictly higher, so the measured bar opens a real margin above
-        # the legacy quantile bar while still flagging degraded traffic.
+        # the in-distribution quantile while still flagging degraded traffic.
         train, _, _ = micro_datasets
-        legacy = calibrate_sentinel(
-            _OracleModel(), train, quantile=0.99, threshold="quantile"
-        )
         shift = calibrate_sentinel(_OracleModel(), train, quantile=0.99)
-        assert shift.threshold >= legacy.threshold
+        assert shift.threshold >= in_dist_q99
         assert np.isfinite(shift.threshold)
 
     def test_shift_driven_is_deterministic(self, micro_datasets):

@@ -49,6 +49,12 @@ class TestGridShape:
         config = dataclasses.replace(RobustnessConfig(), snmp_losses=(0.2, 0.0))
         with pytest.raises(ValueError, match="anchor"):
             shift_grid(config)
+        for field in (
+            "load_scales", "burst_scales", "buffer_scales", "lanz_thresholds", "snmp_losses"
+        ):
+            config = dataclasses.replace(RobustnessConfig(), **{field: ()})
+            with pytest.raises(ValueError, match=field):
+                shift_grid(config)
 
 
 class TestScenarioArithmetic:

@@ -8,7 +8,6 @@ from repro.telemetry.noise import (
     apply_lanz_threshold,
     carry_forward,
     drop_snmp_intervals,
-    quantise_counters,
 )
 
 
@@ -77,22 +76,3 @@ class TestDropSnmp:
     def test_rejects_mismatched_mask(self, telemetry):
         with pytest.raises(ValueError, match="does not match"):
             drop_snmp_intervals(telemetry, np.zeros((1, 1), dtype=bool))
-
-
-class TestQuantise:
-    def test_counters_on_grid(self, telemetry):
-        degraded = quantise_counters(telemetry, step=10)
-        assert (degraded.sent % 10 == 0).all()
-        assert (degraded.received % 10 == 0).all()
-
-    def test_step_one_is_identity(self, telemetry):
-        degraded = quantise_counters(telemetry, step=1)
-        np.testing.assert_array_equal(degraded.sent, telemetry.sent)
-
-    def test_error_bounded_by_half_step(self, telemetry):
-        degraded = quantise_counters(telemetry, step=8)
-        assert np.abs(degraded.sent - telemetry.sent).max() <= 4
-
-    def test_rejects_bad_step(self, telemetry):
-        with pytest.raises(ValueError):
-            quantise_counters(telemetry, step=0)

@@ -88,6 +88,13 @@ class TestRunParser:
         assert str(args.journal) == "j.jsonl"
         assert args.resume and args.selfcheck
 
+    def test_profile_dir_has_one_spelling(self):
+        args = build_parser().parse_args(["run", "simulate", "--profile-dir", "d"])
+        assert str(args.obs_profile) == "d"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "simulate", "--profile", "d"])
+        assert excinfo.value.code == 2
+
 
 class TestRunSimulate:
     def test_run_simulate_from_config_file(self, tmp_path, capsys):

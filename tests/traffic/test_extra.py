@@ -1,10 +1,10 @@
-"""Tests for the on-off and replay traffic generators."""
+"""Tests for the on-off traffic generator."""
 
 import numpy as np
 import pytest
 
 from repro.switchsim import Simulation, SwitchConfig
-from repro.traffic import OnOffTraffic, ReplayTraffic
+from repro.traffic import OnOffTraffic
 
 
 class TestOnOffTraffic:
@@ -51,42 +51,3 @@ class TestOnOffTraffic:
         trace = Simulation(cfg, gen, steps_per_bin=4).run(100)
         trace.validate()
         assert trace.sent.sum() > 0
-
-
-class TestReplayTraffic:
-    def test_replays_counts(self):
-        arr = np.zeros((4, 6), dtype=int)  # 2 ports x 2 queues
-        arr[0, 1] = 2
-        arr[3, 4] = 1
-        gen = ReplayTraffic(arr, queues_per_port=2)
-        assert gen.arrivals(0) == []
-        step1 = gen.arrivals(1)
-        assert len(step1) == 2
-        assert all(p.dst_port == 0 and p.qclass == 0 for p in step1)
-        for t in (2, 3):
-            gen.arrivals(t)
-        step4 = gen.arrivals(4)
-        assert len(step4) == 1
-        assert step4[0].dst_port == 1 and step4[0].qclass == 1
-
-    def test_silent_after_trace_ends(self):
-        gen = ReplayTraffic(np.ones((2, 3), dtype=int), queues_per_port=2)
-        for t in range(3):
-            gen.arrivals(t)
-        assert gen.arrivals(3) == []
-
-    def test_roundtrip_through_simulator(self):
-        """Replaying a recorded arrival pattern reproduces queue growth."""
-        cfg = SwitchConfig(num_ports=1, queues_per_port=2, buffer_capacity=20, alphas=(2.0, 2.0))
-        arr = np.zeros((2, 10), dtype=int)
-        arr[0, 0] = 3  # 3-packet burst to queue 0 at step 0
-        trace = Simulation(cfg, ReplayTraffic(arr, 2), steps_per_bin=1).run(10)
-        np.testing.assert_array_equal(trace.qlen[0, :4], [2, 1, 0, 0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReplayTraffic(np.zeros(3), queues_per_port=1)
-        with pytest.raises(ValueError):
-            ReplayTraffic(np.full((2, 2), -1), queues_per_port=2)
-        with pytest.raises(ValueError):
-            ReplayTraffic(np.zeros((3, 2)), queues_per_port=2)
