@@ -17,10 +17,13 @@ mathematical function as one graph node with a closed-form backward:
   order differs), which the test suite pins;
 * :func:`attention_core` is one node for scaled-dot-product attention
   from QK^T to the context.  It owns the score matrix, the largest
-  array in the model, and retains only its probabilities.  Its backward
-  uses the closed-form softmax gradient too, in the op order of the
-  matmul/softmax/dropout/matmul node chain it replaced, whose gradients
-  it reproduces bit for bit.
+  array in the model, and works through it one batch element at a
+  time, so each pass runs on a slice that fits in L2.  It retains only
+  the probabilities, and nothing under ``no_grad``.  Its backward uses
+  the closed-form softmax gradient too, in the op order of the
+  matmul/softmax/dropout/matmul node chain it replaced, whose outputs
+  and gradients it reproduces bit for bit
+  (:func:`repro.testing.attention_node_chain` is that oracle).
 
 Fusion is enabled by default; :func:`set_fused_kernels` /
 :func:`fused_kernels` switch back to the composite reference path, which
@@ -34,7 +37,7 @@ import contextlib
 import numpy as np
 
 from repro.autodiff import tensor as _tensor_mod
-from repro.autodiff.tensor import Tensor, _unbroadcast
+from repro.autodiff.tensor import Tensor, _unbroadcast, grad_enabled
 
 _FUSED_ENABLED = True
 
@@ -100,53 +103,101 @@ def attention_core(
 ) -> Tensor:
     """Fused ``softmax(q @ kᵀ * scale + mask) [* dropout] @ v`` as one node.
 
-    ``dropout`` is the inverted-dropout multiplier over the probabilities
-    (already divided by ``1 - p``), or ``None`` when dropout is inactive.
-    The forward runs the composite op sequence value for value: the
-    QK^T buffer is scaled in place and reused for the shift, exp and
-    normalisation.  The node retains only the probabilities (plus the
-    dropped copy while dropout is active), where a chain of nodes keeps
-    the raw scores as well, and the score-sized gradients flowing
-    between them.
+    ``q``, ``k`` and ``v`` are at least 3-D and share their leading
+    shape, ``(batch, ..., len, dim)``.  ``mask`` and ``dropout`` must
+    broadcast to the score shape ``q.shape[:-1] + (k_len,)``;
+    ``dropout`` is the inverted-dropout multiplier over the
+    probabilities (already divided by ``1 - p``), or ``None`` when
+    dropout is inactive.
+
+    The work is tiled by the leading (batch) axis: each batch element's
+    score slice runs QK^T, scale, mask, shift, exp, normalise, dropout
+    and the context matmul before the next element starts, so every
+    pass over the score matrix stays in cache.  numpy's matmul and its
+    last-axis reductions give the same bits on a slice as on the whole
+    array, so the result equals the composite op sequence value for
+    value.  When the node will have a backward, each tile is written
+    into the retained probabilities (and their dropped copy while
+    dropout is active).  Under ``no_grad`` one tile buffer serves every
+    batch element and nothing is retained.
 
     The backward applies the closed-form softmax gradient in the op
     order of the QK^T-matmul, softmax, dropout and context-matmul node
-    chain, so its gradients equal that chain's bit for bit.  The row
-    sums of ``dP * P`` are taken one leading-axis slice at a time: a
-    contiguous row sums the same way inside a slice, and the full-size
-    product buffer is never allocated.
+    chain, so its gradients equal that chain's bit for bit.  It runs
+    one batch element at a time through a reused score-sized tile and
+    accumulates each input once: no full-size score gradient exists.
     """
+    if q.ndim < 3 or not (q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
+        raise ValueError(
+            "attention_core needs q, k, v of at least 3 dims sharing their "
+            f"leading shape, got {q.shape}, {k.shape}, {v.shape}"
+        )
     scale = float(scale)  # weak scalar: float32 inputs stay float32
-    t = q.data @ np.swapaxes(k.data, -1, -2)
-    t *= scale
+    q_data, k_data, v_data = q.data, k.data, v.data
+    k_t = np.swapaxes(k_data, -1, -2)
+    v_t = np.swapaxes(v_data, -1, -2)
+    scores_shape = q.shape[:-1] + (k.shape[-2],)
+    dtype = np.result_type(q_data, k_data)
+    drop_dtype = dtype if dropout is None else np.result_type(dtype, dropout)
     if mask is not None:
-        t += mask
-    np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
-    np.exp(t, out=t)
-    probs = t
-    probs /= probs.sum(axis=-1, keepdims=True)
-    dropped = probs if dropout is None else probs * dropout
-    out = dropped @ v.data
+        mask = np.broadcast_to(mask, scores_shape)
+    if dropout is not None:
+        dropout = np.broadcast_to(dropout, scores_shape)
+    # With a backward to come, tile ``i`` is ``probs[i]``; under no_grad
+    # one tile (index 0 of a length-1 stack) is reused for every ``i``.
+    retain = grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
+    stack = scores_shape if retain else (1,) + scores_shape[1:]
+    probs = np.empty(stack, dtype)
+    dropped = probs if dropout is None else np.empty(stack, drop_dtype)
+    out = np.empty(q.shape[:-1] + (v.shape[-1],), np.result_type(drop_dtype, v_data))
+    for i in range(q.shape[0]):
+        j = i if retain else 0
+        t = probs[j]
+        np.matmul(q_data[i], k_t[i], out=t)
+        t *= scale
+        if mask is not None:
+            t += mask[i]
+        np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
+        np.exp(t, out=t)
+        t /= t.sum(axis=-1, keepdims=True)
+        if dropout is not None:
+            np.multiply(t, dropout[i], out=dropped[j])
+        np.matmul(dropped[j], v_data[i], out=out[i])
 
     def backward(grad: np.ndarray) -> None:
         # ``grad`` is only read: it may be another node's live gradient.
+        dv = dq = dk_t = None
         if v.requires_grad:
-            v._accumulate(np.swapaxes(dropped, -1, -2) @ grad)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        dp = grad @ np.swapaxes(v.data, -1, -2)
-        if dropout is not None:
-            dp *= dropout
-        inner = np.empty(dp.shape[:-1] + (1,), dtype=dp.dtype)
-        for i in range(dp.shape[0]):
-            inner[i] = (dp[i] * probs[i]).sum(axis=-1, keepdims=True)
-        dp -= inner
-        dp *= probs
-        dp *= scale
-        if q.requires_grad:
-            q._accumulate(dp @ k.data)
-        if k.requires_grad:
-            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ dp, -1, -2))
+            dv = np.empty(v.shape, np.result_type(drop_dtype, grad))
+        if q.requires_grad or k.requires_grad:
+            dp = np.empty(scores_shape[1:], np.result_type(grad, v_data))
+            product = np.empty_like(dp)
+            if q.requires_grad:
+                dq = np.empty(q.shape, np.result_type(dp, k_data))
+            if k.requires_grad:
+                dk_t = np.empty(k_t.shape, np.result_type(q_data, dp))
+        for i in range(q.shape[0]):
+            if dv is not None:
+                np.matmul(np.swapaxes(dropped[i], -1, -2), grad[i], out=dv[i])
+            if dq is None and dk_t is None:
+                continue
+            np.matmul(grad[i], v_t[i], out=dp)
+            if dropout is not None:
+                dp *= dropout[i]
+            np.multiply(dp, probs[i], out=product)
+            dp -= product.sum(axis=-1, keepdims=True)
+            dp *= probs[i]
+            dp *= scale
+            if dq is not None:
+                np.matmul(dp, k_data[i], out=dq[i])
+            if dk_t is not None:
+                np.matmul(np.swapaxes(q_data[i], -1, -2), dp, out=dk_t[i])
+        if dv is not None:
+            v._accumulate(dv)
+        if dq is not None:
+            q._accumulate(dq)
+        if dk_t is not None:
+            k._accumulate(np.swapaxes(dk_t, -1, -2))
 
     return q._make(out, (q, k, v), backward)
 

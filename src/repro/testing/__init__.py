@@ -17,7 +17,8 @@ checks:
 * :mod:`repro.testing.differential` — harnesses that diff the fast
   implementations against their reference twins (ArraySwitchEngine vs the
   per-packet loop, combinatorial CEM vs the MILP formulation, native
-  simplex vs brute-force enumeration);
+  simplex vs brute-force enumeration, the fused attention node vs the
+  node chain it replaced);
 * :mod:`repro.testing.minimize` — greedy counterexample shrinking (bisect
   the time horizon, drop ports/queues, thin the traffic) so a fuzz failure
   lands as a ~10-line repro instead of a 12 000-bin trace;
@@ -50,10 +51,12 @@ from repro.testing.oracles import (
 from repro.testing.golden import trace_fingerprint
 from repro.testing.selfcheck import SelfCheckError, selfcheck_enforced, selfcheck_trace
 from repro.testing.strategies import (
+    AttentionCase,
     CemCase,
     EngineCase,
     LpCase,
     build_case_traffic,
+    random_attention_case,
     random_cem_case,
     random_engine_case,
     random_lp_case,
@@ -61,6 +64,8 @@ from repro.testing.strategies import (
 from repro.testing.differential import (
     Discrepancy,
     FuzzReport,
+    attention_node_chain,
+    diff_attention,
     diff_cem,
     diff_engines,
     diff_simplex,
@@ -90,15 +95,19 @@ __all__ = [
     "selfcheck_enforced",
     "selfcheck_trace",
     "trace_fingerprint",
+    "AttentionCase",
     "CemCase",
     "EngineCase",
     "LpCase",
     "build_case_traffic",
+    "random_attention_case",
     "random_cem_case",
     "random_engine_case",
     "random_lp_case",
     "Discrepancy",
     "FuzzReport",
+    "attention_node_chain",
+    "diff_attention",
     "diff_cem",
     "diff_engines",
     "diff_simplex",

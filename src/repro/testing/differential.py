@@ -28,7 +28,12 @@ detail string describing the first divergence:
   never silently violate C1–C3.  The harness additionally accumulates
   how *wrong* the constraint-satisfying output can be (max/mean EMD vs
   the true series, :data:`MISLEADING_STATS`) — quantifying the paper's
-  caveat that constraints make output consistent, not correct.
+  caveat that constraints make output consistent, not correct;
+* :func:`diff_attention` — the fused, batch-tiled
+  :func:`~repro.autodiff.fused.attention_core` vs
+  :func:`attention_node_chain`, a numpy transcription of the node chain
+  it replaced, compared *bit-exactly* on the output (with and without
+  ``no_grad``) and on every requested input gradient.
 
 :func:`run_fuzz` drives the harnesses over seeded random cases and
 greedily minimizes every discrepancy before reporting it; the nightly CI
@@ -50,9 +55,11 @@ from repro.testing.minimize import minimize_case
 from repro.testing.oracles import OracleViolation, check_trace_invariants
 from repro.testing.strategies import (
     SHRINKERS,
+    AttentionCase,
     CemCase,
     EngineCase,
     LpCase,
+    random_attention_case,
     random_cem_case,
     random_engine_case,
     random_lp_case,
@@ -374,6 +381,98 @@ def diff_cem_misleading(case: CemCase) -> str | None:
     return None
 
 
+def attention_node_chain(q, k, v, g, scale, mask=None, dropout=None):
+    """numpy transcription of the attention graph before ``attention_core``.
+
+    The bit-exact oracle for :func:`repro.autodiff.fused.attention_core`.
+    Forward: a QK^T matmul node, the fused scale+mask+softmax node, the
+    dropout multiply and the context matmul, each over the whole batch.
+    Backward: their closures in the order the graph ran them — context
+    matmul, dropout multiply, softmax, QK^T matmul, then the swapaxes
+    that produced K^T.  Returns ``(out, dq, dk, dv)`` for the seed
+    gradient ``g``.
+    """
+    k_t = np.swapaxes(k, -1, -2)
+    raw = q @ k_t
+    t = raw * scale
+    if mask is not None:
+        t += mask
+    np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
+    np.exp(t, out=t)
+    probs = t
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if dropout is None else probs * dropout
+    out = weights @ v
+
+    d_weights = g @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(weights, -1, -2) @ g
+    d_probs = d_weights if dropout is None else d_weights * dropout
+    d_raw = d_probs * probs
+    inner = d_raw.sum(axis=-1, keepdims=True)
+    np.subtract(d_probs, inner, out=d_raw)
+    d_raw *= probs
+    d_raw *= scale
+    dq = d_raw @ np.swapaxes(k_t, -1, -2)
+    dk = np.swapaxes(np.swapaxes(q, -1, -2) @ d_raw, -1, -2)
+    return out, dq, dk, dv
+
+
+def _first_bit_difference(name: str, expected, actual) -> str | None:
+    if actual.dtype != expected.dtype or actual.shape != expected.shape:
+        return (
+            f"{name}: {actual.dtype}{actual.shape} vs oracle "
+            f"{expected.dtype}{expected.shape}"
+        )
+    diff = np.nonzero(actual != expected)
+    if diff[0].size:
+        where = tuple(int(d[0]) for d in diff)
+        return (
+            f"{name}{list(where)}: fused {actual[where]!r} vs node chain "
+            f"{expected[where]!r} (bit-exact agreement required)"
+        )
+    return None
+
+
+def diff_attention(case: AttentionCase) -> str | None:
+    """Fused attention node vs the node chain it replaced, bit for bit.
+
+    Compares the output in grad mode and under ``no_grad``, and the
+    gradient of every input named in ``case.grad_of``; the others must
+    receive none.
+    """
+    from repro.autodiff import Tensor, no_grad
+    from repro.autodiff.fused import attention_core
+
+    q, k, v, g, scale, mask, dropout = case.build()
+    expected = dict(
+        zip(("out", "q", "k", "v"), attention_node_chain(q, k, v, g, scale, mask, dropout))
+    )
+    tensors = {
+        name: Tensor(array, requires_grad=name in case.grad_of, dtype=array.dtype)
+        for name, array in zip("qkv", (q, k, v))
+    }
+    args = (tensors["q"], tensors["k"], tensors["v"], scale)
+    with no_grad():
+        inference = attention_core(*args, mask=mask, dropout=dropout)
+    detail = _first_bit_difference("no_grad out", expected["out"], inference.data)
+    if detail is not None:
+        return detail
+    out = attention_core(*args, mask=mask, dropout=dropout)
+    detail = _first_bit_difference("out", expected["out"], out.data)
+    if detail is not None or not case.grad_of:
+        return detail
+    out.backward(g)
+    for name, tensor in tensors.items():
+        if name not in case.grad_of:
+            if tensor.grad is not None:
+                return f"d{name}: set although {name} does not require grad"
+            continue
+        detail = _first_bit_difference(f"d{name}", expected[name], tensor.grad)
+        if detail is not None:
+            return detail
+    return None
+
+
 #: harness name -> (diff function, random case factory)
 HARNESSES: dict[str, tuple[Callable, Callable]] = {
     "engine": (diff_engines, random_engine_case),
@@ -381,6 +480,7 @@ HARNESSES: dict[str, tuple[Callable, Callable]] = {
     "cem_vectorized": (diff_cem_vectorized, random_cem_case),
     "lp": (diff_simplex, random_lp_case),
     "cem_misleading": (diff_cem_misleading, random_misleading_cem_case),
+    "attention": (diff_attention, random_attention_case),
 }
 
 _CASE_TYPES = {
@@ -389,6 +489,7 @@ _CASE_TYPES = {
     "cem_vectorized": CemCase,
     "lp": LpCase,
     "cem_misleading": CemCase,
+    "attention": AttentionCase,
 }
 
 
@@ -461,6 +562,7 @@ def run_fuzz(
     lp_cases: int = 0,
     cem_vectorized_cases: int = 0,
     cem_misleading_cases: int = 0,
+    attention_cases: int = 0,
     minimize: bool = True,
     max_discrepancies: int = 5,
     log: Callable[[str], None] | None = None,
@@ -479,6 +581,7 @@ def run_fuzz(
         "lp": lp_cases,
         "cem_vectorized": cem_vectorized_cases,
         "cem_misleading": cem_misleading_cases,
+        "attention": attention_cases,
     }
     # Stable sub-stream ids: appending a harness must not reshuffle the
     # cases the existing harnesses see for a given seed.
@@ -488,6 +591,7 @@ def run_fuzz(
         "lp": 3,
         "cem_vectorized": 4,
         "cem_misleading": 5,
+        "attention": 6,
     }
     for harness, budget in budgets.items():
         diff, make_case = HARNESSES[harness]

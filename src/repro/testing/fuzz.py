@@ -25,20 +25,12 @@ import time
 from pathlib import Path
 
 from repro.testing.differential import (
+    _CASE_TYPES,
     HARNESSES,
     FuzzReport,
     replay_corpus,
     run_fuzz,
 )
-from repro.testing.strategies import CemCase, EngineCase, LpCase
-
-_CASE_TYPES = {
-    "engine": EngineCase,
-    "cem": CemCase,
-    "cem_vectorized": CemCase,
-    "lp": LpCase,
-    "cem_misleading": CemCase,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,7 @@ minimizer mutates copies of them, and a failure is reported as the
 case's JSON — a ~10-line repro config anyone can replay with
 ``python -m repro.testing.fuzz --replay``.
 
-Three case families mirror the repo's fast/reference implementation pairs:
+Four case families mirror the repo's fast/reference implementation pairs:
 
 * :class:`EngineCase` — a switch configuration (optionally with an AQM
   policy) plus a traffic spec, run through both
@@ -15,7 +15,9 @@ Three case families mirror the repo's fast/reference implementation pairs:
 * :class:`CemCase` — a tiny simulated scenario plus a perturbed imputation,
   projected by both the combinatorial CEM and the MILP formulation;
 * :class:`LpCase` — a small all-integer MILP, solved by the native simplex
-  + branch-and-bound and by exhaustive enumeration.
+  + branch-and-bound and by exhaustive enumeration;
+* :class:`AttentionCase` — one fused attention call, compared bit for bit
+  with the matmul/softmax/dropout/matmul node chain it replaced.
 
 Traffic specs intentionally store *raw* parameters (destination ports may
 exceed ``num_ports``); builders clamp with a modulo so the minimizer can
@@ -493,9 +495,104 @@ def shrink_lp_case(case: LpCase):
             )
 
 
+# ----------------------------------------------------------------------
+# Attention-kernel differential cases
+# ----------------------------------------------------------------------
+_MASKS = ("none", "causal", "per_batch")
+
+
+@dataclass
+class AttentionCase:
+    """One ``fused.attention_core`` call with its seed gradient.
+
+    Inputs are drawn in the model's head layout, a strided
+    ``(batch, heads, len, head_dim)`` view of ``(batch, len, heads,
+    head_dim)``.  ``mask`` is ``"none"``, ``"causal"`` (one
+    ``(q_len, k_len)`` mask shared by every batch element and head) or
+    ``"per_batch"`` (a random ``(batch, 1, q_len, k_len)`` mask broadcast
+    over heads).  ``grad_of`` names the inputs that require grad, a
+    subset of ``"qkv"``.
+    """
+
+    batch: int
+    heads: int
+    q_len: int
+    k_len: int
+    head_dim: int
+    dtype: str  # "float32" | "float64"
+    mask: str
+    dropout: float
+    grad_of: str
+    seed: int
+
+    def build(self):
+        """``(q, k, v, g, scale, mask, dropout)`` as numpy arrays."""
+        from repro.autodiff.functional import dropout_mask
+
+        rng = np.random.default_rng(self.seed)
+        dtype = np.dtype(self.dtype)
+
+        def heads(length):
+            shape = (self.batch, length, self.heads, self.head_dim)
+            return rng.normal(size=shape).astype(dtype).transpose(0, 2, 1, 3)
+
+        q, k, v, g = (heads(n) for n in (self.q_len, self.k_len, self.k_len, self.q_len))
+        scores = (self.batch, self.heads, self.q_len, self.k_len)
+        mask = None
+        if self.mask == "causal":
+            mask = np.triu(np.full(scores[2:], -1e9), k=1).astype(dtype)
+        elif self.mask == "per_batch":
+            blocked = rng.random((self.batch, 1) + scores[2:]) < 0.3
+            mask = np.where(blocked, -1e9, 0.0).astype(dtype)
+        elif self.mask != "none":
+            raise ValueError(f"unknown mask {self.mask!r}; expected one of {_MASKS}")
+        dropout = dropout_mask(scores, self.dropout, rng, dtype) if self.dropout else None
+        scale = float(1.0 / np.sqrt(self.head_dim))
+        return q, k, v, g, scale, mask, dropout
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "AttentionCase":
+        return cls(**data)
+
+
+def random_attention_case(rng: np.random.Generator) -> AttentionCase:
+    grad_of = "".join(name for name in "qkv" if rng.random() < 0.6)
+    return AttentionCase(
+        batch=int(rng.integers(1, 4)),
+        heads=int(rng.integers(1, 4)),
+        q_len=int(rng.integers(1, 12)),
+        k_len=int(rng.integers(1, 12)),
+        head_dim=int(rng.integers(1, 8)),
+        dtype=("float32", "float64")[int(rng.integers(2))],
+        mask=_MASKS[int(rng.integers(len(_MASKS)))],
+        dropout=(0.0, 0.1, 0.5)[int(rng.integers(3))],
+        grad_of=grad_of,
+        seed=int(rng.integers(2**31)),
+    )
+
+
+def shrink_attention_case(case: AttentionCase):
+    for name in ("batch", "heads", "q_len", "k_len", "head_dim"):
+        size = getattr(case, name)
+        if size > 2:
+            yield replace(case, **{name: 1})
+        if size > 1:
+            yield replace(case, **{name: size - 1})
+    if case.mask != "none":
+        yield replace(case, mask="none")
+    if case.dropout:
+        yield replace(case, dropout=0.0)
+    for drop in case.grad_of:
+        yield replace(case, grad_of=case.grad_of.replace(drop, ""))
+
+
 #: shrink function per case type, used by the fuzz driver.
 SHRINKERS = {
     EngineCase: shrink_engine_case,
     CemCase: shrink_cem_case,
     LpCase: shrink_lp_case,
+    AttentionCase: shrink_attention_case,
 }

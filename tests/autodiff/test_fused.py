@@ -18,7 +18,8 @@ from repro.autodiff import (
     set_default_dtype,
 )
 from repro.autodiff import functional as F
-from repro.autodiff import fused
+from repro.autodiff import fused, no_grad
+from repro.testing import attention_node_chain
 
 
 def _composite(op, *args, **kwargs):
@@ -155,39 +156,6 @@ def _composite_attention(q, k, v, scale, mask=None):
         return F.softmax(scores, axis=-1) @ v
 
 
-def _node_chain_attention(q, k, v, g, scale, mask=None, dropout=None):
-    """numpy transcription of the attention graph before ``attention_core``.
-
-    Forward: a QK^T matmul node, the fused scale+mask+softmax node, the
-    dropout multiply and the context matmul.  Backward: their closures in
-    the order the graph ran them — context matmul, dropout multiply,
-    softmax, QK^T matmul, then the swapaxes that produced K^T.
-    """
-    k_t = np.swapaxes(k, -1, -2)
-    raw = q @ k_t
-    t = raw * scale
-    if mask is not None:
-        t += mask
-    np.subtract(t, t.max(axis=-1, keepdims=True), out=t)
-    np.exp(t, out=t)
-    probs = t
-    probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if dropout is None else probs * dropout
-    out = weights @ v
-
-    d_weights = g @ np.swapaxes(v, -1, -2)
-    dv = np.swapaxes(weights, -1, -2) @ g
-    d_probs = d_weights if dropout is None else d_weights * dropout
-    d_raw = d_probs * probs
-    inner = d_raw.sum(axis=-1, keepdims=True)
-    np.subtract(d_probs, inner, out=d_raw)
-    d_raw *= probs
-    d_raw *= scale
-    dq = d_raw @ np.swapaxes(k_t, -1, -2)
-    dk = np.swapaxes(np.swapaxes(q, -1, -2) @ d_raw, -1, -2)
-    return out, dq, dk, dv
-
-
 def _heads(rng, shape, dtype):
     """A (batch, heads, seq, head_dim) view in the model's head layout."""
     batch, heads, seq, dim = shape
@@ -272,7 +240,7 @@ class TestAttentionCore:
             if p
             else None
         )
-        expected = _node_chain_attention(q, k, v, g, scale, mask=mask, dropout=dropout)
+        expected = attention_node_chain(q, k, v, g, scale, mask=mask, dropout=dropout)
         tensors = [Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
         out = fused.attention_core(*tensors, scale, mask=mask, dropout=dropout)
         out.backward(g)
@@ -280,6 +248,66 @@ class TestAttentionCore:
         for name, a, e in zip(("out", "dq", "dk", "dv"), actual, expected):
             assert a.dtype == dtype, name
             np.testing.assert_array_equal(a, e, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_no_grad_matches_grad_mode_and_records_nothing(self, rng, dtype, p):
+        q, k, v = (_heads(rng, (3, 2, 6, 5), dtype) for _ in range(3))
+        mask = _causal_mask(6, dtype)
+        dropout = F.dropout_mask((3, 2, 6, 6), p, rng, dtype) if p else None
+        tensors = [Tensor(a, requires_grad=True, dtype=dtype) for a in (q, k, v)]
+        trained = fused.attention_core(*tensors, 0.5, mask=mask, dropout=dropout)
+        with no_grad():
+            inferred = fused.attention_core(*tensors, 0.5, mask=mask, dropout=dropout)
+        np.testing.assert_array_equal(inferred.numpy(), trained.numpy())
+        assert inferred.numpy().dtype == dtype
+        assert not inferred.requires_grad
+        assert inferred._parents == () and inferred._backward is None
+
+    @pytest.mark.parametrize(
+        "shape, mask_shape, grad_of",
+        [
+            ((3, 6, 5), (6, 6), "qkv"),  # (heads, T, D): no batch axis
+            ((1, 2, 6, 5), (6, 6), "qkv"),  # batch 1
+            ((3, 2, 6, 5), (6, 6), "qkv"),  # (T, T) mask shared by all
+            ((3, 2, 6, 5), (3, 1, 6, 6), "qkv"),  # per-batch mask over heads
+            ((3, 2, 6, 5), (3, 1, 6, 6), "v"),
+            ((3, 2, 6, 5), None, "q"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pin_against_node_chain(self, rng, shape, mask_shape, grad_of, dtype):
+        q, k, v, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
+        mask = None
+        if mask_shape is not None:
+            mask = np.where(rng.random(mask_shape) < 0.3, -1e9, 0.0).astype(dtype)
+        dropout = F.dropout_mask(shape[:-1] + (shape[-2],), 0.1, rng, dtype)
+        expected = dict(
+            zip("oqkv", attention_node_chain(q, k, v, g, 0.4, mask=mask, dropout=dropout))
+        )
+        tensors = {
+            name: Tensor(a, requires_grad=name in grad_of, dtype=dtype)
+            for name, a in zip("qkv", (q, k, v))
+        }
+        out = fused.attention_core(*tensors.values(), 0.4, mask=mask, dropout=dropout)
+        np.testing.assert_array_equal(out.numpy(), expected["o"])
+        out.backward(g)
+        for name, tensor in tensors.items():
+            if name in grad_of:
+                assert tensor.grad.dtype == dtype, name
+                np.testing.assert_array_equal(tensor.grad, expected[name], err_msg=name)
+            else:
+                assert tensor.grad is None, name
+
+    @pytest.mark.parametrize(
+        "q_shape, kv_shape",
+        [((6, 5), (6, 5)), ((2, 3, 6, 5), (1, 3, 6, 5)), ((2, 3, 6, 5), (2, 6, 5))],
+    )
+    def test_rejects_inputs_without_a_shared_leading_axis(self, q_shape, kv_shape):
+        q = Tensor(np.zeros(q_shape))
+        k = v = Tensor(np.zeros(kv_shape))
+        with pytest.raises(ValueError, match="leading shape"):
+            fused.attention_core(q, k, v, 0.5)
 
     def test_module_dropout_draws_like_composite(self, rng):
         """Attention dropout: same mask, same RNG state, same output bits."""

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.testing import (
+    AttentionCase,
     CemCase,
     EngineCase,
     LpCase,
+    diff_attention,
     diff_cem,
     diff_engines,
     diff_simplex,
@@ -27,6 +29,7 @@ from repro.testing.differential import (
     write_corpus,
 )
 from repro.testing.strategies import (
+    random_attention_case,
     random_cem_case,
     random_engine_case,
     random_lp_case,
@@ -74,6 +77,38 @@ class TestHarnesses:
             case = random_lp_case(rng)
             assert diff_simplex(case) is None, case.to_dict()
 
+    def test_attention_cases_agree(self):
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            case = random_attention_case(rng)
+            assert diff_attention(case) is None, case.to_dict()
+
+    def test_attention_harness_reports_a_one_ulp_divergence(self, monkeypatch):
+        from repro.autodiff import fused
+
+        exact = fused.attention_core
+
+        def off_by_one_ulp(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            out.data[0, 0, 0, 0] = np.nextafter(out.data[0, 0, 0, 0], np.inf)
+            return out
+
+        monkeypatch.setattr(fused, "attention_core", off_by_one_ulp)
+        case = AttentionCase(
+            batch=2, heads=2, q_len=3, k_len=4, head_dim=3, dtype="float32",
+            mask="none", dropout=0.0, grad_of="qkv", seed=0,
+        )
+        detail = diff_attention(case)
+        assert detail is not None and detail.startswith("no_grad out[0, 0, 0, 0]")
+        # The shrinker takes any failing case down to the smallest call.
+        (found,) = run_fuzz(seed=0, attention_cases=1).discrepancies
+        assert {k: found.case[k] for k in ("batch", "heads", "q_len", "k_len", "head_dim")} == {
+            "batch": 1, "heads": 1, "q_len": 1, "k_len": 1, "head_dim": 1,
+        }
+        assert (found.case["mask"], found.case["dropout"], found.case["grad_of"]) == (
+            "none", 0.0, "",
+        )
+
     def test_lp_brute_force_known_optimum(self):
         case = LpCase(
             domains=[2, 2],
@@ -98,6 +133,7 @@ class TestHarnesses:
             (random_engine_case, EngineCase),
             (random_cem_case, CemCase),
             (random_lp_case, LpCase),
+            (random_attention_case, AttentionCase),
         ):
             case = make(rng)
             clone = cls.from_dict(json.loads(json.dumps(case.to_dict())))
@@ -111,6 +147,11 @@ class TestFuzzDriver:
         assert report.cases_run == {"engine": 6, "cem": 2, "lp": 10}
         assert report.total_cases == 18
         assert "OK" in report.summary()
+
+    def test_attention_sweep_is_clean(self):
+        report = run_fuzz(seed=0, attention_cases=30)
+        assert report.ok, [d.render() for d in report.discrepancies]
+        assert report.cases_run == {"attention": 30}
 
     def test_sweep_is_deterministic(self):
         first = run_fuzz(seed=5, engine_cases=3, lp_cases=5)
@@ -132,7 +173,7 @@ class TestCorpus:
 
     def test_corpus_covers_every_harness(self):
         data = json.loads(open(CORPUS).read())
-        assert set(data) == {"engine", "cem", "lp"}
+        assert set(data) == {"engine", "cem", "lp", "attention"}
         assert all(len(cases) >= 2 for cases in data.values())
 
     def test_write_replay_roundtrip(self, tmp_path):
@@ -156,6 +197,14 @@ class TestFuzzCli:
 
         case = random_lp_case(np.random.default_rng(2))
         code = main(["--replay", "lp", json.dumps(case.to_dict())])
+        assert code == 0
+        assert "agrees" in capsys.readouterr().out
+
+    def test_replay_attention_case_exits_zero(self, capsys):
+        from repro.testing.fuzz import main
+
+        case = random_attention_case(np.random.default_rng(3))
+        code = main(["--replay", "attention", json.dumps(case.to_dict())])
         assert code == 0
         assert "agrees" in capsys.readouterr().out
 
