@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval import generate_dataset, paper_scenario, quick_scenario
-from repro.eval.table1 import Table1Config, train_transformer
+from repro.eval.table1 import Table1Config, train_pair
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -60,13 +60,12 @@ def datasets(table1_config):
 def trained_models(datasets, table1_config):
     """(plain_emd_model, kal_model), trained once per session."""
     train, val, _ = datasets
-    plain, plain_seconds = train_transformer(train, val, table1_config, use_kal=False)
-    kal, kal_seconds = train_transformer(train, val, table1_config, use_kal=True)
+    plain, kal, seconds = train_pair(train, val, table1_config)
     return {
         "plain": plain,
         "kal": kal,
-        "plain_seconds": plain_seconds,
-        "kal_seconds": kal_seconds,
+        "plain_seconds": seconds["Transformer"],
+        "kal_seconds": seconds["Transformer+KAL"],
     }
 
 

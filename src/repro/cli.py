@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="gradient worker processes (results are worker-count independent)",
+        help="gradient worker processes; the gradient shard count follows it, "
+        "so results differ from --workers 1",
     )
     p.add_argument("--out", type=Path, default=Path("model.npz"))
     p.add_argument(

@@ -17,8 +17,11 @@ consistency/pattern trade-off §4 discusses.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Union
 
@@ -36,6 +39,7 @@ from repro.imputation.trainer import Trainer, TrainerConfig
 from repro.imputation.transformer_imputer import TransformerConfig, TransformerImputer
 from repro.resilience.journal import ResultJournal
 from repro.telemetry.dataset import TelemetryDataset
+from repro.utils.cpu import blas_threads, usable_cpus
 
 ROW_LABELS = {
     "max": "a. Max Constraint",
@@ -68,8 +72,10 @@ class Table1Config:
     burst_threshold: float = 5.0
     seed: int = 0
     dtype: str = "float32"  # training precision (see TrainerConfig.dtype)
-    workers: int = 1  # gradient worker processes; numbers are unaffected
-    # (shard count is pinned via TrainerConfig.grad_shards semantics)
+    workers: int = 1  # gradient worker processes per training.  The
+    # trainer's grad_shards is left at 0, so the shard count follows
+    # workers and workers=2 changes the numbers (and config_digest);
+    # bit-identity across worker counts needs a pinned grad_shards.
     fused_kernels: bool = True  # fused attention/softmax/layer-norm path
     cem_vectorized: bool = True  # vectorized CEM projection passes; False
     # runs the per-interval reference loop (same outputs, bit for bit)
@@ -83,6 +89,8 @@ class Table1Result:
     """The regenerated table plus training metadata."""
 
     values: dict[str, dict[str, float]]  # row key -> method -> error
+    # Per-model training wall time.  The two trainings may overlap (see
+    # train_pair), so the sum is not the time spent training.
     train_seconds: dict[str, float]
     num_test_windows: int
     cem_seconds_per_window: float
@@ -190,15 +198,9 @@ def journal_scope(config: Table1Config) -> str:
     return "table1/" + config_digest(config)[:16]
 
 
-def train_transformer(
-    train: TelemetryDataset,
-    val: TelemetryDataset,
-    config: Table1Config,
-    use_kal: bool,
-    checkpoint: Union[str, Path, None] = None,
-    resume: bool = False,
-) -> tuple[TransformerImputer, float]:
-    model = TransformerImputer(
+def _new_model(train: TelemetryDataset, config: Table1Config) -> TransformerImputer:
+    """The untrained transformer every Table-1 training starts from."""
+    return TransformerImputer(
         TransformerConfig(
             num_features=train.num_features,
             num_queues=train.num_queues,
@@ -210,6 +212,17 @@ def train_transformer(
         train.scaler,
         seed=config.seed,
     )
+
+
+def train_transformer(
+    train: TelemetryDataset,
+    val: TelemetryDataset,
+    config: Table1Config,
+    use_kal: bool,
+    checkpoint: Union[str, Path, None] = None,
+    resume: bool = False,
+) -> tuple[TransformerImputer, float]:
+    model = _new_model(train, config)
     trainer = Trainer(
         model,
         train,
@@ -231,6 +244,139 @@ def train_transformer(
         with obs.profile_stage(f"table1.train.{'kal' if use_kal else 'plain'}"):
             trainer.train(checkpoint_path=checkpoint, resume=resume)
     return model, time.perf_counter() - start
+
+
+class TrainingChildError(RuntimeError):
+    """The forked child training the plain model failed.
+
+    ``exc_type`` and ``child_traceback`` carry what the child reported
+    when its training raised; ``exitcode`` is set when it died without
+    reporting (a signal or ``os._exit``).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        exc_type: str | None = None,
+        child_traceback: str = "",
+        exitcode: int | None = None,
+    ):
+        super().__init__(message)
+        self.exc_type = exc_type
+        self.child_traceback = child_traceback
+        self.exitcode = exitcode
+
+
+def _concurrent_training_possible() -> bool:
+    """Whether the pair may train in two processes at once.
+
+    Each process needs its BLAS pool to itself: with two threads each on
+    two CPUs, oversubscription made the pair slower than training in
+    sequence.  An unreadable pool counts as too large.  A daemonic
+    process (a pool or supervisor worker) may not start children.
+    """
+    threads = blas_threads()
+    return (
+        threads is not None
+        and 2 * threads <= usable_cpus()
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _train_plain_child(conn, train, val, config) -> None:
+    """Body of the training child: train the plain model, send its parameters."""
+    try:
+        model, seconds = train_transformer(train, val, config, use_kal=False)
+        message = ("ok", model.state_dict(), seconds)
+    except BaseException as error:  # the parent re-raises it
+        message = ("error", type(error).__name__, str(error), traceback.format_exc())
+    obs.child_flush()
+    conn.send(message)
+    conn.close()
+
+
+def _receive_plain(conn, child) -> tuple[dict[str, np.ndarray], float]:
+    """The child's ``(state_dict, seconds)``, or its failure as an error.
+
+    Polls the child's exit as well as the pipe: processes the child
+    forked (its gradient workers) inherit its ends of both the result
+    pipe and the exit sentinel, so a hard death need not close either.
+    """
+    while not conn.poll() and child.is_alive():
+        _connection_wait([conn, child.sentinel], timeout=0.5)
+    message = None
+    if conn.poll():
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # closed, or cut off mid-message
+            pass
+    if message is None:
+        child.join()
+        raise TrainingChildError(
+            "the child training the plain transformer exited with code "
+            f"{child.exitcode} before sending its result",
+            exitcode=child.exitcode,
+        )
+    if message[0] == "error":
+        _, exc_type, text, child_traceback = message
+        raise TrainingChildError(
+            f"training the plain transformer failed in the child: "
+            f"{exc_type}: {text}\n\nChild traceback:\n{child_traceback}",
+            exc_type=exc_type,
+            child_traceback=child_traceback,
+        )
+    return message[1], message[2]
+
+
+def train_pair(
+    train: TelemetryDataset, val: TelemetryDataset, config: Table1Config
+) -> tuple[TransformerImputer, TransformerImputer, dict[str, float]]:
+    """Train the plain and the KAL transformer: ``(plain, kal, seconds)``.
+
+    When the usable CPUs hold two BLAS pools (two CPUs with BLAS on one
+    thread) and fork is available, the plain model trains in a forked,
+    non-daemonic child (so it may start its own gradient workers) while
+    the KAL model trains here; the child sends back its parameters, which
+    load into a model built from the same config, seed and scaler.  Each
+    training is the unchanged :func:`train_transformer` on the same
+    inputs and BLAS pool, so both models match the serial path bit for
+    bit.  Otherwise both train here in sequence, plain first; OpenBLAS
+    defaults to one thread per CPU, so a caller that does not pin it
+    takes this path.
+
+    ``seconds`` maps ``"Transformer"`` / ``"Transformer+KAL"`` to each
+    training's wall time; run concurrently, the two overlap.  A failure
+    in the child raises :class:`TrainingChildError`; a failure here
+    (``KeyboardInterrupt`` included) terminates and reaps the child.
+    """
+    if not _concurrent_training_possible():
+        plain, plain_seconds = train_transformer(train, val, config, use_kal=False)
+        kal, kal_seconds = train_transformer(train, val, config, use_kal=True)
+        return plain, kal, {"Transformer": plain_seconds, "Transformer+KAL": kal_seconds}
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(
+        target=_train_plain_child,
+        args=(sender, train, val, config),
+        name="table1-train-plain",
+        daemon=False,
+    )
+    child.start()
+    sender.close()
+    try:
+        kal, kal_seconds = train_transformer(train, val, config, use_kal=True)
+        state, plain_seconds = _receive_plain(receiver, child)
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        receiver.close()
+        child.join()
+    plain = _new_model(train, config)
+    plain.to_dtype(config.dtype)
+    plain.load_state_dict(state)
+    return plain, kal, {"Transformer": plain_seconds, "Transformer+KAL": kal_seconds}
 
 
 def run_table1(
@@ -306,8 +452,10 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
     plain_model = kal_model = None
     if pretrained is not None:
         plain_model, kal_model = pretrained
+    elif plain_cell is None and (kal_cell is None or cem_cell is None):
+        plain_model, kal_model, train_seconds = train_pair(train, val, config)
     else:
-        # Train only the models still needed by un-journaled columns.
+        # Train only the model still needed by un-journaled columns.
         if plain_cell is None:
             plain_model, seconds = train_transformer(train, val, config, use_kal=False)
             train_seconds["Transformer"] = seconds

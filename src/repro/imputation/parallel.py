@@ -37,8 +37,14 @@ class WorkerCrashError(RuntimeError):
     """A gradient worker died more times than the respawn budget allows."""
 
 
-def _worker_loop(conn, compute: Callable, index: int) -> None:
-    """Body of one worker process: recv command, compute shard, reply."""
+def _worker_loop(conn, compute: Callable, index: int, parent_end) -> None:
+    """Body of one worker process: recv command, compute shard, reply.
+
+    The fork left this worker a copy of the trainer's end of its pipe;
+    closing it lets ``recv`` see EOF, so the worker exits when the
+    trainer dies without sending ``stop``.
+    """
+    parent_end.close()
     while True:
         try:
             message = conn.recv()
@@ -84,7 +90,7 @@ class GradientWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_loop,
-            args=(child_conn, self._compute, index),
+            args=(child_conn, self._compute, index, parent_conn),
             daemon=True,
         )
         process.start()

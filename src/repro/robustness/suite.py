@@ -92,6 +92,8 @@ class RobustnessResult:
     config: RobustnessConfig
     points: list[PointResult]
     claims: list[AxisClaim]
+    # Per-model training wall time.  The two trainings may overlap (see
+    # repro.eval.table1.train_pair), so the sum is not the time spent.
     train_seconds: dict[str, float]
     eval_seconds: float = 0.0
 
@@ -394,7 +396,7 @@ def run_robustness(
     """Train on the base mix, evaluate every method across the shift grid."""
     from repro.autodiff.runtime import kernel_scope
     from repro.eval.scenarios import generate_dataset, generate_trace
-    from repro.eval.table1 import train_transformer
+    from repro.eval.table1 import train_pair
     from repro.imputation.cem import ConstraintEnforcer
     from repro.imputation.iterative import IterativeImputer
     from repro.telemetry.dataset import build_dataset
@@ -408,13 +410,10 @@ def run_robustness(
                 train, val, _ = generate_dataset(
                     config.scenario, seed=config.seed, selfcheck=selfcheck
                 )
-            t1_config = table1_config_from(config)
-            train_seconds: dict[str, float] = {}
             with obs.span("robustness.train"):
-                plain, seconds = train_transformer(train, val, t1_config, use_kal=False)
-                train_seconds["Transformer"] = seconds
-                kal, seconds = train_transformer(train, val, t1_config, use_kal=True)
-                train_seconds["Transformer+KAL"] = seconds
+                plain, kal, train_seconds = train_pair(
+                    train, val, table1_config_from(config)
+                )
             iterative = IterativeImputer()
             scaler = train.scaler  # deployment normalisation, grid-wide
 

@@ -7,6 +7,11 @@ many worker processes computed them — so ``workers=2`` must match
 checkpoint/resume boundary.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -138,6 +143,43 @@ class TestWorkerFaults:
                 pool.run_shards(commands)
         finally:
             pool.close()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestWorkerLifetime:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_exit_when_the_trainer_dies(self):
+        # A trainer killed before close() (a terminated training child)
+        # must not leave its workers blocked on recv forever.
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def trainer():
+            pool = GradientWorkerPool(lambda *args: None, workers=2)
+            sender.send([worker["process"].pid for worker in pool._workers])
+            time.sleep(60)
+
+        process = context.Process(target=trainer)
+        process.start()
+        pids = receiver.recv()
+        process.kill()
+        process.join()
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestConfigValidation:
