@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import ctypes.util
+import functools
 import threading
 
 from repro.autodiff.fused import fused_kernels
@@ -44,8 +45,12 @@ _depth = 0
 _depth_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=None)
 def _mallopt():
-    """The libc ``mallopt`` symbol, or None when unavailable."""
+    """The libc ``mallopt`` symbol, or None when unavailable.
+
+    Resolved once: ``find_library`` runs ``ldconfig`` in a subprocess.
+    """
     try:
         libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
         fn = libc.mallopt

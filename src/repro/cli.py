@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtype",
         choices=("float32", "float64"),
         default="float32",
-        help="training precision; float64 reproduces the reference kernels bit-for-bit",
+        help="training precision; float64 reproduces the reference kernels "
+        "bit-for-bit at a fixed BLAS thread count",
     )
     p.add_argument(
         "--workers",

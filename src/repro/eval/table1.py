@@ -17,11 +17,8 @@ consistency/pattern trade-off §4 discusses.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Union
 
@@ -39,7 +36,7 @@ from repro.imputation.trainer import Trainer, TrainerConfig
 from repro.imputation.transformer_imputer import TransformerConfig, TransformerImputer
 from repro.resilience.journal import ResultJournal
 from repro.telemetry.dataset import TelemetryDataset
-from repro.utils.cpu import blas_threads, usable_cpus
+from repro.utils.cpu import fork_join
 
 ROW_LABELS = {
     "max": "a. Max Constraint",
@@ -246,133 +243,31 @@ def train_transformer(
     return model, time.perf_counter() - start
 
 
-class TrainingChildError(RuntimeError):
-    """The forked child training the plain model failed.
-
-    ``exc_type`` and ``child_traceback`` carry what the child reported
-    when its training raised; ``exitcode`` is set when it died without
-    reporting (a signal or ``os._exit``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        exc_type: str | None = None,
-        child_traceback: str = "",
-        exitcode: int | None = None,
-    ):
-        super().__init__(message)
-        self.exc_type = exc_type
-        self.child_traceback = child_traceback
-        self.exitcode = exitcode
-
-
-def _concurrent_training_possible() -> bool:
-    """Whether the pair may train in two processes at once.
-
-    Each process needs its BLAS pool to itself: with two threads each on
-    two CPUs, oversubscription made the pair slower than training in
-    sequence.  An unreadable pool counts as too large.  A daemonic
-    process (a pool or supervisor worker) may not start children.
-    """
-    threads = blas_threads()
-    return (
-        threads is not None
-        and 2 * threads <= usable_cpus()
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-    )
-
-
-def _train_plain_child(conn, train, val, config) -> None:
-    """Body of the training child: train the plain model, send its parameters."""
-    try:
-        model, seconds = train_transformer(train, val, config, use_kal=False)
-        message = ("ok", model.state_dict(), seconds)
-    except BaseException as error:  # the parent re-raises it
-        message = ("error", type(error).__name__, str(error), traceback.format_exc())
-    obs.child_flush()
-    conn.send(message)
-    conn.close()
-
-
-def _receive_plain(conn, child) -> tuple[dict[str, np.ndarray], float]:
-    """The child's ``(state_dict, seconds)``, or its failure as an error.
-
-    Polls the child's exit as well as the pipe: processes the child
-    forked (its gradient workers) inherit its ends of both the result
-    pipe and the exit sentinel, so a hard death need not close either.
-    """
-    while not conn.poll() and child.is_alive():
-        _connection_wait([conn, child.sentinel], timeout=0.5)
-    message = None
-    if conn.poll():
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # closed, or cut off mid-message
-            pass
-    if message is None:
-        child.join()
-        raise TrainingChildError(
-            "the child training the plain transformer exited with code "
-            f"{child.exitcode} before sending its result",
-            exitcode=child.exitcode,
-        )
-    if message[0] == "error":
-        _, exc_type, text, child_traceback = message
-        raise TrainingChildError(
-            f"training the plain transformer failed in the child: "
-            f"{exc_type}: {text}\n\nChild traceback:\n{child_traceback}",
-            exc_type=exc_type,
-            child_traceback=child_traceback,
-        )
-    return message[1], message[2]
-
-
 def train_pair(
     train: TelemetryDataset, val: TelemetryDataset, config: Table1Config
 ) -> tuple[TransformerImputer, TransformerImputer, dict[str, float]]:
     """Train the plain and the KAL transformer: ``(plain, kal, seconds)``.
 
-    When the usable CPUs hold two BLAS pools (two CPUs with BLAS on one
-    thread) and fork is available, the plain model trains in a forked,
-    non-daemonic child (so it may start its own gradient workers) while
-    the KAL model trains here; the child sends back its parameters, which
-    load into a model built from the same config, seed and scaler.  Each
-    training is the unchanged :func:`train_transformer` on the same
-    inputs and BLAS pool, so both models match the serial path bit for
-    bit.  Otherwise both train here in sequence, plain first; OpenBLAS
-    defaults to one thread per CPU, so a caller that does not pin it
-    takes this path.
+    The plain model trains through :func:`~repro.utils.cpu.fork_join`: in
+    a forked child while the KAL model trains here when the usable CPUs
+    hold two BLAS pools, otherwise here first.  Its parameters load into
+    a model built from the same config, seed and scaler.  Each training
+    is the unchanged :func:`train_transformer` on the same inputs and
+    BLAS pool, so both paths give the same models bit for bit.
 
     ``seconds`` maps ``"Transformer"`` / ``"Transformer+KAL"`` to each
-    training's wall time; run concurrently, the two overlap.  A failure
-    in the child raises :class:`TrainingChildError`; a failure here
-    (``KeyboardInterrupt`` included) terminates and reaps the child.
+    training's wall time; run concurrently, the two overlap.
     """
-    if not _concurrent_training_possible():
-        plain, plain_seconds = train_transformer(train, val, config, use_kal=False)
-        kal, kal_seconds = train_transformer(train, val, config, use_kal=True)
-        return plain, kal, {"Transformer": plain_seconds, "Transformer+KAL": kal_seconds}
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(
-        target=_train_plain_child,
-        args=(sender, train, val, config),
-        name="table1-train-plain",
-        daemon=False,
+
+    def plain_training() -> tuple[dict[str, np.ndarray], float]:
+        model, seconds = train_transformer(train, val, config, use_kal=False)
+        return model.state_dict(), seconds
+
+    (state, plain_seconds), (kal, kal_seconds) = fork_join(
+        plain_training,
+        lambda: train_transformer(train, val, config, use_kal=True),
+        task="training the plain transformer",
     )
-    child.start()
-    sender.close()
-    try:
-        kal, kal_seconds = train_transformer(train, val, config, use_kal=True)
-        state, plain_seconds = _receive_plain(receiver, child)
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        receiver.close()
-        child.join()
     plain = _new_model(train, config)
     plain.to_dtype(config.dtype)
     plain.load_state_dict(state)

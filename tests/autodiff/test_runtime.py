@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes.util
 import sys
 import threading
 import time
@@ -137,3 +138,19 @@ class TestKernelScope:
             assert not fused_kernels_enabled()
         assert fused_kernels_enabled()
         assert calls == []
+
+    def test_libc_is_looked_up_once(self, monkeypatch):
+        # find_library runs ldconfig in a subprocess on every call.
+        calls = []
+        real = ctypes.util.find_library
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(ctypes.util, "find_library", counting)
+        runtime._mallopt.cache_clear()
+        for _ in range(3):
+            with kernel_scope(True):
+                pass
+        assert len(calls) == 1

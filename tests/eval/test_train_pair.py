@@ -9,7 +9,6 @@ assertions hold on any machine.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import struct
@@ -22,16 +21,16 @@ import repro.eval.table1 as table1
 import repro.obs as obs
 from repro.config import config_digest
 from repro.eval.scenarios import generate_dataset, quick_scenario
-from repro.eval.table1 import Table1Config, TrainingChildError, train_pair
+from repro.eval.table1 import Table1Config, train_pair
 from repro.obs.metrics import load_snapshot
 from repro.obs.trace import read_events
-from repro.robustness.config import RobustnessConfig
-from repro.robustness.suite import bench_payload, run_robustness
+from repro.utils import cpu
+from repro.utils.cpu import ForkedChildError
 
 
 def _use_path(patcher, concurrent: bool) -> None:
-    patcher.setattr(table1, "usable_cpus", lambda: 2 if concurrent else 1)
-    patcher.setattr(table1, "blas_threads", lambda: 1)
+    patcher.setattr(cpu, "usable_cpus", lambda: 2 if concurrent else 1)
+    patcher.setattr(cpu, "blas_threads", lambda: 1)
 
 
 @pytest.fixture
@@ -108,26 +107,6 @@ class TestParity:
         assert set(seconds) == {"Transformer", "Transformer+KAL"}
         assert all(value > 0 for value in seconds.values())
 
-    def test_robustness_grid_is_identical(self):
-        scenario = dataclasses.replace(quick_scenario(), duration_bins=1200)
-        grid = RobustnessConfig(
-            scenario=scenario,
-            load_scales=(1.0, 2.0),
-            burst_scales=(1.0,),
-            buffer_scales=(1.0,),
-            lanz_thresholds=(0.0, 20.0),
-            snmp_losses=(0.0, 0.4),
-            eval_windows=3,
-            epochs=1,
-        )
-        payloads = []
-        for concurrent in (False, True):
-            with pytest.MonkeyPatch.context() as patcher:
-                _use_path(patcher, concurrent)
-                _, metrics = bench_payload(run_robustness(grid))
-            payloads.append(json.dumps(metrics, sort_keys=True))
-        assert payloads[0] == payloads[1]
-
     def test_workers_run_inside_the_training_child(self, runs):
         # The child is not daemonic, so its trainer may start its own
         # GradientWorkerPool; a daemonic child would fail at its start.
@@ -166,7 +145,7 @@ class TestFailures:
         monkeypatch.setattr(
             table1, "train_transformer", _fake_training(child, lambda: (None, 0.0))
         )
-        with pytest.raises(TrainingChildError) as caught:
+        with pytest.raises(ForkedChildError) as caught:
             train_pair(datasets[0], datasets[1], config)
         error = caught.value
         assert error.exc_type == "ValueError"
@@ -185,7 +164,7 @@ class TestFailures:
             _fake_training(lambda: os._exit(7), lambda: (None, 0.0)),
         )
         start = time.monotonic()
-        with pytest.raises(TrainingChildError, match="code 7") as caught:
+        with pytest.raises(ForkedChildError, match="code 7") as caught:
             train_pair(datasets[0], datasets[1], config)
         assert caught.value.exitcode == 7
         assert time.monotonic() - start < 30
@@ -200,11 +179,11 @@ class TestFailures:
             os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"partial")
             os._exit(5)
 
-        monkeypatch.setattr(table1, "_train_plain_child", child)
+        monkeypatch.setattr(cpu, "_child_main", child)
         monkeypatch.setattr(
             table1, "train_transformer", _fake_training(None, lambda: (None, 0.0))
         )
-        with pytest.raises(TrainingChildError, match="code 5") as caught:
+        with pytest.raises(ForkedChildError, match="code 5") as caught:
             train_pair(datasets[0], datasets[1], config)
         assert caught.value.exitcode == 5
         assert multiprocessing.active_children() == []
@@ -226,7 +205,7 @@ class TestFailures:
         )
         start = time.monotonic()
         try:
-            with pytest.raises(TrainingChildError, match="code 9"):
+            with pytest.raises(ForkedChildError, match="code 9"):
                 train_pair(datasets[0], datasets[1], config)
             assert time.monotonic() - start < 30
         finally:

@@ -27,6 +27,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_float64_help_names_the_blas_thread_condition(self, capsys):
+        # float64 parameters differ between one and two BLAS threads.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "bit-for-bit at a fixed BLAS thread count" in help_text
+
     def test_selfcheck_off_by_default(self):
         for command in (
             ["run", "simulate"],
