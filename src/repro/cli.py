@@ -117,7 +117,6 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         dtype=args.dtype,
-        workers=args.workers,
     )
     _annotate_obs(config, experiment="train")
     model, seconds = train_transformer(
@@ -347,13 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="training precision; float64 reproduces the reference kernels "
         "bit-for-bit at a fixed BLAS thread count",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="gradient worker processes; the gradient shard count follows it, "
-        "so results differ from --workers 1",
-    )
     p.add_argument("--out", type=Path, default=Path("model.npz"))
     p.add_argument(
         "--checkpoint",
@@ -460,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except KeyboardInterrupt:
-        # Pool workers are daemonic (terminated with us) and the journal /
+        # Supervisor attempts are daemonic (terminated with us), a forked
+        # fork_join child is reaped by its caller, and the journal /
         # checkpoint flush on every write, so there is nothing left to save.
         hint = " (progress saved; resumable with --resume)" if _resumable(args) else ""
         print(f"\ninterrupted{hint}", file=sys.stderr)

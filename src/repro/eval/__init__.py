@@ -2,8 +2,6 @@
 
 * :mod:`~repro.eval.scenarios` — the evaluation scenario of §4 (websearch +
   incast traffic through a shared-buffer switch) and dataset generation.
-* :mod:`~repro.eval.parallel` — multiprocessing fan-out of multi-seed /
-  multi-scenario trace generation, composing with the on-disk trace cache.
 * :mod:`~repro.eval.table1` — Table 1: consistency + downstream errors for
   the four methods.
 * :mod:`~repro.eval.figures` — the data behind Fig. 1 (sampling hides
@@ -22,14 +20,6 @@ from repro.eval.scenarios import (
     quick_scenario,
     trace_cache_params,
 )
-from repro.eval.parallel import (
-    derive_seeds,
-    generate_datasets,
-    generate_traces,
-    generate_traces_supervised,
-    simulate_jobs,
-    simulate_jobs_supervised,
-)
 from repro.eval.table1 import Table1Config, Table1Result, run_table1
 from repro.eval.figures import fig1_data, fig4_data, pick_representative
 from repro.eval.scalability import cem_timing, fm_scaling
@@ -45,12 +35,6 @@ __all__ = [
     "trace_cache_params",
     "paper_scenario",
     "quick_scenario",
-    "derive_seeds",
-    "simulate_jobs",
-    "simulate_jobs_supervised",
-    "generate_traces",
-    "generate_traces_supervised",
-    "generate_datasets",
     "Table1Config",
     "Table1Result",
     "run_table1",

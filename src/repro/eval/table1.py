@@ -69,10 +69,6 @@ class Table1Config:
     burst_threshold: float = 5.0
     seed: int = 0
     dtype: str = "float32"  # training precision (see TrainerConfig.dtype)
-    workers: int = 1  # gradient worker processes per training.  The
-    # trainer's grad_shards is left at 0, so the shard count follows
-    # workers and workers=2 changes the numbers (and config_digest);
-    # bit-identity across worker counts needs a pinned grad_shards.
     fused_kernels: bool = True  # fused attention/softmax/layer-norm path
     cem_vectorized: bool = True  # vectorized CEM projection passes; False
     # runs the per-interval reference loop (same outputs, bit for bit)
@@ -231,7 +227,6 @@ def train_transformer(
             mu=config.mu,
             seed=config.seed,
             dtype=config.dtype,
-            workers=config.workers,
             fused_kernels=config.fused_kernels,
         ),
         val=val,

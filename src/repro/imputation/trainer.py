@@ -82,11 +82,6 @@ class TrainerConfig:
     log_every: int = 0  # epochs between stdout progress lines; 0 = silent
     dtype: str = "float32"  # training precision; float64 for gradient
     # checks and bit-identity against the reference kernels
-    workers: int = 1  # gradient worker processes; 1 = in-process
-    grad_shards: int = 0  # batch shards for gradient averaging; 0 follows
-    # ``workers``.  Results depend only on the shard count, never on the
-    # worker count, so pin grad_shards explicitly to make a run's numbers
-    # independent of how many processes computed them.
     fused_kernels: bool = True  # fused softmax/layer-norm/GELU kernels;
     # False falls back to the composite reference ops
 
@@ -100,10 +95,6 @@ class TrainerConfig:
             raise ValueError(f"mu must be positive when use_kal, got {self.mu}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.grad_shards < 0:
-            raise ValueError(f"grad_shards must be >= 0, got {self.grad_shards}")
 
 
 @dataclass
@@ -136,17 +127,8 @@ class Trainer:
         # Cast before the optimizer snapshots the parameters so the Adam
         # moment buffers come out in the training dtype as well.
         model.to_dtype(self._dtype)
-        if (self.config.workers > 1 or self.config.grad_shards > 1) and (
-            getattr(getattr(model, "config", None), "dropout", 0.0) > 0.0
-        ):
-            raise ValueError(
-                "data-parallel training requires dropout == 0: each shard "
-                "draws from its own dropout RNG, so sharded runs would not "
-                "be reproducible against in-process ones"
-            )
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self.history = TrainingHistory()
-        self._pool = None  # GradientWorkerPool while train() runs with workers > 1
         n = len(train)
         # One multiplier per example per constraint family (§3.1).
         self.lambda_max = np.zeros(n)
@@ -194,16 +176,15 @@ class Trainer:
         phi1: Tensor,
         phi2: Tensor,
         psi: Tensor,
-        lam: tuple[np.ndarray, np.ndarray, np.ndarray],
+        indices: np.ndarray,
     ) -> Tensor:
-        """KAL loss for one batch/shard; ``lam`` holds the multiplier
-        values (λ_max, λ_periodic, λ_sent) for exactly these examples —
-        passed explicitly so gradient workers never read stale copies of
-        the parent's multiplier arrays."""
+        """KAL loss for one batch, under the multipliers of the examples
+        at ``indices``."""
         mu = self.config.mu
-        lam1 = Tensor(lam[0])
-        lam2 = Tensor(lam[1])
-        lam3 = Tensor(lam[2])
+        lam_sent = self.lambda_sent[indices]
+        lam1 = Tensor(self.lambda_max[indices])
+        lam2 = Tensor(self.lambda_periodic[indices])
+        lam3 = Tensor(lam_sent)
         # Equality constraints: μΦ² + λΦ (Φ >= 0 by construction).
         equality = (phi1 * phi1 + phi2 * phi2) * mu + lam1 * phi1 + lam2 * phi2
         if not self.config.use_phi:
@@ -215,18 +196,9 @@ class Trainer:
         # while the constraint binds, so an over-satisfied Ψ (deeply
         # negative) earns no further reward — without the guard the λΨ term
         # pays the model to drive every queue to zero.
-        active = (lam[2] + mu * psi.data > 0).astype(float)
+        active = (lam_sent + mu * psi.data > 0).astype(float)
         inequality = (lam3 * psi + (psi * psi) * (mu / 2.0)) * Tensor(active)
         return (equality + inequality * self.config.ineq_weight).mean()
-
-    def _lambda_slices(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self.lambda_max[indices],
-            self.lambda_periodic[indices],
-            self.lambda_sent[indices],
-        )
 
     def _update_multipliers(
         self, phi1: np.ndarray, phi2: np.ndarray, psi: np.ndarray, indices: np.ndarray
@@ -284,21 +256,8 @@ class Trainer:
             use_kal=cfg.use_kal,
             examples=n,
             dtype=cfg.dtype,
-            workers=cfg.workers,
-        ):
-            obs.gauge("trainer.workers").set(float(cfg.workers))
-            obs.gauge("trainer.grad_shards").set(float(self._effective_shards()))
-            try:
-                if cfg.workers > 1:
-                    from repro.imputation.parallel import GradientWorkerPool
-
-                    self._pool = GradientWorkerPool(self._pool_compute, cfg.workers)
-                with self._compute_context():
-                    self._train_epochs(cfg, n, checkpoint_path, checkpoint_every)
-            finally:
-                if self._pool is not None:
-                    self._pool.close()
-                    self._pool = None
+        ), self._compute_context():
+            self._train_epochs(cfg, n, checkpoint_path, checkpoint_every)
         return self.history
 
     @contextlib.contextmanager
@@ -306,10 +265,6 @@ class Trainer:
         """Dtype + kernel-selection context every forward/backward runs in."""
         with default_dtype(self._dtype), kernel_scope(self.config.fused_kernels):
             yield
-
-    def _effective_shards(self) -> int:
-        cfg = self.config
-        return cfg.grad_shards if cfg.grad_shards > 0 else max(cfg.workers, 1)
 
     def _train_epochs(self, cfg, n, checkpoint_path, checkpoint_every) -> None:
         kind = "kal" if cfg.use_kal else "base"
@@ -353,118 +308,39 @@ class Trainer:
                 self.save_checkpoint(checkpoint_path)
 
     # ------------------------------------------------------------------
-    # Batch step: single-shard fast path or sharded gradient averaging
+    # Batch step
     # ------------------------------------------------------------------
     def _train_batch(self, indices: np.ndarray) -> tuple[float, float, float]:
         """One optimizer step over ``indices``; returns (loss, base, kal).
 
-        With one shard and no worker pool this is the direct path: the
-        backward pass accumulates straight into the parameters.  With
-        ``grad_shards > 1`` the batch is split into contiguous shards,
-        each shard's gradient is computed independently (in-process or on
-        the worker pool) and the results are combined in fixed shard
-        order as ``Σ_s (n_s/B)·g_s`` — so the numbers depend only on the
-        shard count, never on which process ran a shard.
-        """
-        cfg = self.config
-        shard_count = min(self._effective_shards(), len(indices))
-        shards = np.array_split(indices, shard_count)
-        params = self.model.parameters()
-
-        if len(shards) == 1 and self._pool is None:
-            result = self._compute_shard(indices, self._lambda_slices(indices))
-            clip_grad_norm(params, cfg.grad_clip)
-            self.optimizer.step()
-            if cfg.use_kal:
-                self._update_multipliers(
-                    result["phi1"], result["phi2"], result["psi"], indices
-                )
-            return result["loss"], result["base"], result["constraint"]
-
-        commands = [
-            (shard, [p.data for p in params], self._lambda_slices(shard))
-            for shard in shards
-        ]
-        if self._pool is not None:
-            results = self._pool.run_shards(commands)
-        else:
-            results = []
-            for shard, _, lam in commands:
-                shard_result = self._compute_shard(shard, lam)
-                # The grads point at the reusable parameter buffers the
-                # next shard's backward overwrites; snapshot them (the
-                # pool gets the same copy semantics from pickling).
-                shard_result["grads"] = [g.copy() for g in shard_result["grads"]]
-                results.append(shard_result)
-
-        batch = len(indices)
-        weights = [len(shard) / batch for shard in shards]
-        for slot, param in enumerate(params):
-            combined = results[0]["grads"][slot] * weights[0]
-            for result, weight in zip(results[1:], weights[1:]):
-                combined += result["grads"][slot] * weight
-            param.grad = combined
-        clip_grad_norm(params, cfg.grad_clip)
-        self.optimizer.step()
-
-        loss_value = sum(w * r["loss"] for w, r in zip(weights, results))
-        base_value = sum(w * r["base"] for w, r in zip(weights, results))
-        constraint_value = sum(w * r["constraint"] for w, r in zip(weights, results))
-        if cfg.use_kal:
-            self._update_multipliers(
-                np.concatenate([r["phi1"] for r in results]),
-                np.concatenate([r["phi2"] for r in results]),
-                np.concatenate([r["psi"] for r in results]),
-                indices,
-            )
-        return loss_value, base_value, constraint_value
-
-    def _compute_shard(self, indices: np.ndarray, lam) -> dict:
-        """Forward/backward over one shard; gradients land in the model.
-
-        The returned gradients reference the parameters' live buffers —
-        callers that keep them across another backward must copy.
+        The backward pass accumulates straight into the parameters'
+        gradients, which are clipped before the Adam step; with KAL the
+        batch's multipliers then grow by its residuals.
         """
         cfg = self.config
         samples = [self.train_set[i] for i in indices]
         features = Tensor(self.train_set.stack_features(samples))
         target = Tensor(self.train_set.stack_targets(samples))
 
-        self.model.train()
         self.optimizer.zero_grad()
         pred = self.model(features)
         base = self._base_loss(pred, target)
+        loss = base
         if cfg.use_kal:
             phi1, phi2, psi = self._constraint_residuals(pred, samples)
-            constraint = self._kal_terms(phi1, phi2, psi, lam)
+            constraint = self._kal_terms(phi1, phi2, psi, indices)
             loss = base + constraint
-        else:
-            constraint = None
-            loss = base
         loss.backward()
-
-        return {
-            "grads": [p.grad for p in self.model.parameters()],
-            "loss": loss.item(),
-            "base": base.item(),
-            "constraint": constraint.item() if constraint is not None else 0.0,
-            "phi1": phi1.data.copy() if cfg.use_kal else None,
-            "phi2": phi2.data.copy() if cfg.use_kal else None,
-            "psi": psi.data.copy() if cfg.use_kal else None,
-        }
-
-    def _pool_compute(self, indices: np.ndarray, params: list, lam) -> dict:
-        """Worker-side shard computation (see ``GradientWorkerPool``).
-
-        Stateless with respect to training progress: the current
-        parameters and multiplier slices arrive with every command, so a
-        freshly respawned worker computes exactly what the crashed one
-        would have.
-        """
-        for param, value in zip(self.model.parameters(), params):
-            param.data = value
-        with self._compute_context():
-            return self._compute_shard(indices, lam)
+        values = (
+            loss.item(),
+            base.item(),
+            constraint.item() if cfg.use_kal else 0.0,
+        )
+        clip_grad_norm(self.model.parameters(), cfg.grad_clip)
+        self.optimizer.step()
+        if cfg.use_kal:
+            self._update_multipliers(phi1.data, phi2.data, psi.data, indices)
+        return values
 
     def _emit_epoch_metrics(self, kind: str) -> None:
         """Stream the latest epoch's diagnostics into the metrics registry.
@@ -501,26 +377,16 @@ class Trainer:
         Delegates to :func:`repro.config.config_digest` (the same hash
         that keys the trace cache and journal scopes) over the config
         *minus* the knobs a resume may legitimately change: ``epochs``
-        (resuming with more epochs continues training), ``log_every``
-        (stdout cadence), and ``workers`` (process topology — the numbers
-        depend only on ``grad_shards``, so a run checkpointed on one
-        worker may resume elastically on many).  Everything else — loss,
-        KAL terms, learning rate, batch size, seed, dtype, shard count —
-        must match, or a resumed run would silently diverge from the
-        uninterrupted one.
+        (resuming with more epochs continues training) and ``log_every``
+        (stdout cadence).  Everything else — loss, KAL terms, learning
+        rate, batch size, seed, dtype — must match, or a resumed run would
+        silently diverge from the uninterrupted one.
         """
         from dataclasses import replace
 
         from repro.config import config_digest
 
-        # grad_shards is pinned at its *effective* value so a run that
-        # relied on the "0 follows workers" default cannot silently
-        # resume with a different shard count.
-        cfg = self.config
-        shards = cfg.grad_shards if cfg.grad_shards > 0 else max(cfg.workers, 1)
-        return config_digest(
-            replace(cfg, epochs=1, log_every=0, workers=1, grad_shards=shards)
-        )
+        return config_digest(replace(self.config, epochs=1, log_every=0))
 
     def save_checkpoint(self, path: Union[str, Path]) -> Path:
         """Atomically write the complete training state (checksummed).

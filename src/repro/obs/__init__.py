@@ -8,9 +8,9 @@ built on three layers:
   single JSONL file in the Chrome trace event format, so a whole run
   renders as a flame chart in Perfetto / ``chrome://tracing`` (see
   :func:`repro.obs.trace.export_chrome` for the wrapped-array form the
-  viewers load directly).  Spans recorded in forked worker processes
-  (``eval.parallel`` pools, ``resilience.supervisor`` attempts) land in
-  the same file under their own pid.
+  viewers load directly).  Spans recorded in forked processes
+  (``utils.cpu.fork_join`` children, ``resilience.supervisor`` attempts)
+  land in the same file under their own pid.
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters,
   gauges, histograms, and series (cache hits/misses, supervisor retries,
   per-epoch losses, C1–C3 residuals, solver nodes) snapshotted to a

@@ -1,8 +1,8 @@
 """Supervised process execution: timeouts, retries, crash recovery.
 
-The ``eval.parallel`` pool is all-or-nothing: one worker that segfaults,
-hangs on a pathological scenario, or dies to the OOM killer takes the
-whole ``Pool.map`` down and loses every sibling's work.  A
+A plain ``multiprocessing.Pool`` is all-or-nothing: one worker that
+segfaults, hangs on a pathological scenario, or dies to the OOM killer
+takes the whole ``Pool.map`` down and loses every sibling's work.  A
 :class:`Supervisor` runs the same embarrassingly-parallel jobs with a
 recovery story per failure mode:
 
@@ -25,9 +25,9 @@ bit-identical result (asserted against the golden trace fingerprints in
 deterministic jitter — seeded per (job, attempt), so a supervised sweep
 is reproducible end to end.
 
-Workers are separate ``multiprocessing`` processes (fork-preferred, like
-:mod:`repro.eval.parallel`); the supervisor itself is single-threaded and
-drives everything from a ``connection.wait`` event loop.
+Workers are separate ``multiprocessing`` processes (fork-preferred); the
+supervisor itself is single-threaded and drives everything from a
+``connection.wait`` event loop.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ their own revision marker in the params (see ``traffic_rev`` in
 
 The cache directory defaults to the ``REPRO_TRACE_CACHE`` environment
 variable, falling back to ``~/.cache/repro/traces``.  Writes go through a
-temporary file plus :func:`os.replace`, so concurrent writers (e.g. the
-workers of :mod:`repro.eval.parallel`) at worst do redundant work, never
+temporary file plus :func:`os.replace`, so concurrent writers (two
+processes simulating the same scenario) at worst do redundant work, never
 corrupt an entry.
 """
 

@@ -98,7 +98,7 @@ def _fork_possible() -> bool:
     Each process needs its BLAS pool to itself: with two threads each on
     two CPUs, oversubscription made two trainings slower than running
     them in sequence.  An unreadable pool counts as too large.  A
-    daemonic process (a pool or supervisor worker) may not start children.
+    daemonic process (a supervisor attempt) may not start children.
     """
     threads = blas_threads()
     return (
@@ -123,9 +123,9 @@ def _child_main(conn, work: Callable[[], object]) -> None:
 def _receive(conn, child, task: str):
     """The child's result, or its failure as a :class:`ForkedChildError`.
 
-    Polls the child's exit as well as the pipe: processes the child
-    forked (gradient workers) inherit its ends of both the result pipe
-    and the exit sentinel, so a hard death need not close either.
+    Polls the child's exit as well as the pipe: a process the child
+    forks inherits its ends of both the result pipe and the exit
+    sentinel, so a hard death need not close either.
     """
     while not conn.poll() and child.is_alive():
         _connection_wait([conn, child.sentinel], timeout=0.5)
@@ -160,7 +160,7 @@ def fork_join(
 
     When the usable CPUs hold two BLAS pools (two CPUs with BLAS on one
     thread) and fork is available, ``child`` runs in a forked,
-    non-daemonic process (so it may start its own workers) while
+    non-daemonic process (so it may fork in turn) while
     ``caller`` runs here; the child calls :func:`repro.obs.child_flush`
     and sends its result back through a pipe, so the result must pickle.
     Otherwise both run here in sequence, ``child`` first; OpenBLAS

@@ -79,26 +79,16 @@ class TestDelegation:
 
         stub = type("Stub", (), {"config": TrainerConfig(epochs=4, log_every=2)})()
         fingerprint = Trainer.config_fingerprint(stub)
-        # epochs/log_every/workers are excluded: resuming with more epochs
-        # (or on a different process count) is a legitimate continuation,
-        # not a different experiment; grad_shards is pinned at its
-        # effective value ("0 follows workers").
+        # epochs/log_every are excluded: resuming with more epochs is a
+        # legitimate continuation, not a different experiment.
         assert fingerprint == config_digest(
-            replace(stub.config, epochs=1, log_every=0, workers=1, grad_shards=1)
+            replace(stub.config, epochs=1, log_every=0)
         )
         stub_longer = type(
             "Stub", (), {"config": TrainerConfig(epochs=99, log_every=5)}
         )()
         assert Trainer.config_fingerprint(stub_longer) == fingerprint
-        stub_elastic = type(
-            "Stub", (), {"config": TrainerConfig(epochs=4, workers=3, grad_shards=1)}
-        )()
-        assert Trainer.config_fingerprint(stub_elastic) == fingerprint
         stub_other = type(
             "Stub", (), {"config": TrainerConfig(epochs=4, learning_rate=0.5)}
         )()
         assert Trainer.config_fingerprint(stub_other) != fingerprint
-        stub_sharded = type(
-            "Stub", (), {"config": TrainerConfig(epochs=4, grad_shards=2)}
-        )()
-        assert Trainer.config_fingerprint(stub_sharded) != fingerprint

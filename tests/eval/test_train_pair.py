@@ -8,7 +8,6 @@ assertions hold on any machine.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import struct
@@ -19,7 +18,6 @@ import pytest
 
 import repro.eval.table1 as table1
 import repro.obs as obs
-from repro.config import config_digest
 from repro.eval.scenarios import generate_dataset, quick_scenario
 from repro.eval.table1 import Table1Config, train_pair
 from repro.obs.metrics import load_snapshot
@@ -50,7 +48,8 @@ def datasets(config):
 
 @pytest.fixture(scope="module")
 def runs(config, datasets):
-    """``run_table1`` per (path, workers): the result and both trained models."""
+    """``run_table1`` per path (concurrent or not): the result and both
+    trained models."""
     out = {}
     captured = {}
 
@@ -59,14 +58,12 @@ def runs(config, datasets):
         captured["models"] = plain, kal
         return plain, kal, seconds
 
-    for concurrent, workers in ((False, 1), (True, 1), (True, 2)):
+    for concurrent in (False, True):
         with pytest.MonkeyPatch.context() as patcher:
             _use_path(patcher, concurrent)
             patcher.setattr(table1, "train_pair", capture)
-            result = table1.run_table1(
-                dataclasses.replace(config, workers=workers), datasets=datasets
-            )
-        out[concurrent, workers] = (result, *captured["models"])
+            result = table1.run_table1(config, datasets=datasets)
+        out[concurrent] = (result, *captured["models"])
     return out
 
 
@@ -93,43 +90,19 @@ def _fake_training(child, parent):
 # ----------------------------------------------------------------------
 class TestParity:
     def test_table1_render_is_byte_identical(self, runs):
-        assert runs[True, 1][0].render() == runs[False, 1][0].render()
-        assert runs[True, 1][0].values == runs[False, 1][0].values
+        assert runs[True][0].render() == runs[False][0].render()
+        assert runs[True][0].values == runs[False][0].values
 
     def test_both_models_have_equal_parameters(self, runs):
-        _, serial_plain, serial_kal = runs[False, 1]
-        _, plain, kal = runs[True, 1]
+        _, serial_plain, serial_kal = runs[False]
+        _, plain, kal = runs[True]
         _assert_same_parameters(plain, serial_plain)
         _assert_same_parameters(kal, serial_kal)
 
     def test_seconds_are_reported_per_model(self, runs):
-        seconds = runs[True, 1][0].train_seconds
+        seconds = runs[True][0].train_seconds
         assert set(seconds) == {"Transformer", "Transformer+KAL"}
         assert all(value > 0 for value in seconds.values())
-
-    def test_workers_run_inside_the_training_child(self, runs):
-        # The child is not daemonic, so its trainer may start its own
-        # GradientWorkerPool; a daemonic child would fail at its start.
-        result, plain, kal = runs[True, 2]
-        assert set(result.values["burst_height"]) == set(table1.METHODS)
-        assert plain.state_dict().keys() == kal.state_dict().keys()
-
-
-class TestWorkersAreNotNumberNeutral:
-    """``Table1Config.workers`` moves the gradient shard count with it."""
-
-    def test_two_workers_change_the_values(self, runs):
-        one, two = runs[True, 1][0], runs[True, 2][0]
-        assert (
-            one.values["burst_height"]["Transformer"]
-            != two.values["burst_height"]["Transformer"]
-        )
-
-    def test_two_workers_change_the_config_digest(self, config):
-        # So journals of the two settings never mix.
-        assert config_digest(config) != config_digest(
-            dataclasses.replace(config, workers=2)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +164,8 @@ class TestFailures:
     def test_hard_death_is_seen_while_a_grandchild_holds_the_pipe(
         self, config, datasets, concurrent, monkeypatch
     ):
-        # Gradient workers forked by the child inherit its end of the
-        # pipe, so the parent must watch the child itself, not only EOF.
+        # A process the child forks inherits its end of the pipe, so
+        # the parent must watch the child itself, not only EOF.
         context = multiprocessing.get_context("fork")
         release = context.Event()
 

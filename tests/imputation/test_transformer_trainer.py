@@ -1,5 +1,7 @@
 """Tests for the transformer imputer and the (KAL) trainer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,84 @@ class TestKal:
         )
         trainer.train()
         assert (trainer.lambda_sent >= 0).all()
+
+
+def _train(dataset, checkpoint=None, **overrides):
+    """Two KAL epochs on the small dataset's training split (float64)."""
+    settings = dict(
+        epochs=2, batch_size=4, use_kal=True, mu=0.5, seed=0, dtype="float64"
+    )
+    settings.update(overrides)
+    train, _, _ = dataset.split(0.7, 0.15, seed=0)
+    model = TransformerImputer(
+        TransformerConfig(
+            num_features=dataset.num_features,
+            num_queues=dataset.num_queues,
+            d_model=16,
+            num_heads=2,
+            num_layers=1,
+            d_ff=32,
+        ),
+        dataset.scaler,
+        seed=0,
+    )
+    trainer = Trainer(model, train, TrainerConfig(**settings))
+    trainer.train(checkpoint_path=checkpoint)
+    return trainer
+
+
+class TestDtypePolicy:
+    def test_float32_training_converges(self, small_dataset):
+        trainer = _train(small_dataset, epochs=4, use_kal=False, dtype="float32")
+        assert trainer.model.dtype == np.float32
+        assert trainer.history.loss[-1] < trainer.history.loss[0]
+
+    def test_float32_tracks_float64(self, small_dataset):
+        fast = _train(small_dataset, epochs=1, use_kal=False, dtype="float32")
+        exact = _train(small_dataset, epochs=1, use_kal=False, dtype="float64")
+        assert abs(fast.history.loss[0] - exact.history.loss[0]) < 1e-4
+
+    def test_dtype_survives_checkpoint_roundtrip(
+        self, small_dataset, tiny_model, tmp_path
+    ):
+        path = tmp_path / "ckpt.npz"
+        _train(small_dataset, epochs=1, dtype="float32", checkpoint=path)
+        train, _, _ = small_dataset.split(0.7, 0.15, seed=0)
+        restored = Trainer(
+            tiny_model,
+            train,
+            TrainerConfig(
+                epochs=1, batch_size=4, use_kal=True, mu=0.5, seed=0, dtype="float32"
+            ),
+        )
+        restored.load_checkpoint(path)
+        assert restored.model.dtype == np.float32
+        for m, v in zip(restored.optimizer._m, restored.optimizer._v):
+            assert m.dtype == np.float32
+            assert v.dtype == np.float32
+
+
+class TestGoldenFloat64Step:
+    """Two float64 epochs land on pinned bits: the parameters and the KAL
+    multipliers, hashed.  The digests were recorded under OpenBLAS on
+    x86-64 and do not move between one and two BLAS threads at this size;
+    a BLAS built with other kernels may round differently."""
+
+    GOLDEN = {
+        True: "9fdadf526d4475b40c016dacd783ff35868be82f1ad37628941deacbbf2b8560",
+        False: "2d2245784ca77315f2d69be7dee7f65539a768d9fdb20eb2378a5c9b94e38b09",
+    }
+
+    @pytest.mark.parametrize("use_kal", [True, False])
+    def test_parameters_match_the_pinned_digest(self, small_dataset, use_kal):
+        trainer = _train(small_dataset, use_kal=use_kal)
+        digest = hashlib.sha256()
+        state = trainer.model.state_dict()
+        for name in sorted(state):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(state[name]).tobytes())
+        for multipliers in (
+            trainer.lambda_max, trainer.lambda_periodic, trainer.lambda_sent
+        ):
+            digest.update(multipliers.tobytes())
+        assert digest.hexdigest() == self.GOLDEN[use_kal]

@@ -49,7 +49,8 @@ class TestDisabledIsNoop:
             "import repro.switchsim.cache\n"
             "import repro.imputation.trainer\n"
             "import repro.eval.table1\n"
-            "import repro.eval.parallel\n"
+            "import repro.resilience.supervisor\n"
+            "import repro.utils.cpu\n"
             "import repro.smt.solver\n"
             "import repro.obs\n"
             "repro.obs.event('backpressure', shard=0)\n"

@@ -1,7 +1,7 @@
 """End-to-end observability: chained CLI runs share one trace + snapshot.
 
 Mirrors the CI obs-smoke job: a micro Table-1 run, the scalability
-study, a cache-backed simulate pair, and a supervised sweep all append
+study, a cache-backed simulate pair, and a supervised job sweep all append
 to the same trace file and accumulate into the same metrics document;
 the result validates against the checked-in schema, exports to the
 Perfetto-loadable form, and covers spans from the instrumented modules
@@ -43,6 +43,17 @@ TINY_TABLE1_OVERRIDES = [
     "scenario.incast_period=250",
     "scenario.incast_jitter=60",
 ]
+
+
+def _simulate_job(seed):
+    """Supervisor job that opens its own span around a short simulation."""
+    import dataclasses
+
+    from repro.eval.scenarios import generate_trace, quick_scenario
+
+    scenario = dataclasses.replace(quick_scenario(), duration_bins=200)
+    with obs.span("sweep.job", seed=seed):
+        return generate_trace(scenario, seed=seed, cache=None).num_bins
 
 
 def _set_flags(overrides):
@@ -96,17 +107,11 @@ def artifacts(tmp_path_factory):
 
     # Supervised sweep: spans and metrics from supervisor-managed child
     # processes must land in the same artifacts.
-    import dataclasses
-
-    from repro.eval.parallel import simulate_jobs_supervised
-    from repro.eval.scenarios import quick_scenario
+    from repro.resilience import Supervisor
 
     obs.configure(trace=trace, metrics=metrics)
-    scenario = dataclasses.replace(quick_scenario(), duration_bins=200)
-    sweep = simulate_jobs_supervised(
-        [(scenario, 11), (scenario, 12)], workers=2
-    )
-    assert not sweep.report.failures
+    sweep = Supervisor(_simulate_job, workers=2).run([11, 12])
+    assert sweep.results == [200, 200]
     obs.finish()
 
     return {"trace": trace, "metrics": metrics, "profile": profile}
@@ -121,10 +126,10 @@ class TestPipelineTrace:
             e["name"] for e in read_events(artifacts["trace"]) if e["ph"] == "X"
         }
         modules = {name.split(".")[0] for name in spans}
-        # simulate → train → enforce → evaluate, plus cache and workers.
+        # simulate → train → enforce → evaluate, plus cache and supervisor.
         expected = {
             "switchsim", "scenarios", "cache", "trainer", "cem",
-            "table1", "scalability", "smt", "parallel", "supervisor",
+            "table1", "scalability", "smt", "supervisor",
         }
         missing = expected - modules
         assert not missing, f"uninstrumented modules: {sorted(missing)}"
@@ -138,10 +143,10 @@ class TestPipelineTrace:
         }
         assert attempt_pids, "no supervisor.attempt spans recorded"
         assert os.getpid() not in attempt_pids
-        # And the job payload span ran inside the same child process.
+        # And the job's own span ran inside the same child process.
         job_pids = {
             e["pid"] for e in events
-            if e["ph"] == "X" and e["name"] == "parallel.job"
+            if e["ph"] == "X" and e["name"] == "sweep.job"
         }
         assert job_pids & attempt_pids
 

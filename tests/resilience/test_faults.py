@@ -2,11 +2,12 @@
 
 The four acceptance scenarios:
 
-1. a killed worker is retried and the sweep's traces are bit-identical to
-   the golden fingerprints (crash recovery is invisible in the data);
+1. a killed simulation attempt is retried and the sweep's traces are
+   bit-identical to the golden fingerprints (crash recovery is invisible
+   in the data);
 2. a hung job times out into the FailureReport without stalling siblings
    (covered in ``test_supervisor.py``; here the injector matrix re-checks
-   it through the ``eval.parallel`` entry point);
+   it on a real simulation);
 3. a corrupted cache entry is quarantined and re-simulated;
 4. a budgeted branch-and-bound returns its incumbent within the deadline
    (covered in ``test_budget.py`` via :func:`stalling_lp`).
@@ -18,14 +19,8 @@ import dataclasses
 
 import pytest
 
-from repro.eval import (
-    derive_seeds,
-    generate_traces_supervised,
-    simulate_jobs_supervised,
-)
-from repro.eval.parallel import _simulate_job
 from repro.eval.scenarios import generate_trace, quick_scenario, trace_cache_params
-from repro.resilience import RetryPolicy
+from repro.resilience import RetryPolicy, Supervisor
 from repro.resilience.faults import (
     CrashOnce,
     FailOnce,
@@ -47,45 +42,47 @@ def _golden_scenario():
     return dataclasses.replace(quick_scenario(), duration_bins=300)
 
 
+def _simulate(payload):
+    """Supervisor job: one uncached simulation of a (scenario, seed) pair."""
+    config, seed = payload
+    return generate_trace(config, seed=seed, cache=None)
+
+
+def _sweep(job_fn, seeds, policy):
+    return Supervisor(job_fn, policy=policy, workers=2).run(
+        [(_golden_scenario(), seed) for seed in seeds]
+    )
+
+
 class TestCrashRecoveryBitIdentity:
     def test_killed_workers_retry_to_golden_fingerprints(self, tmp_path):
-        """Acceptance: every worker crashes once; the retried sweep is
-        bit-identical to the uninjected golden traces."""
-        sweep = generate_traces_supervised(
-            _golden_scenario(),
-            seeds=[0, 1],
-            policy=RetryPolicy(backoff_base=0.01),
-        )
-        # Un-injected baseline first (also warms nothing: no cache in play).
+        """Acceptance: every attempt process crashes once; the retried
+        sweep is bit-identical to the uninjected golden traces."""
+        policy = RetryPolicy(backoff_base=0.01)
+        sweep = _sweep(_simulate, [0, 1], policy)
         assert sweep.ok
         clean = [trace_fingerprint(t) for t in sweep.results]
         assert clean == [GOLDEN_QUICK_300[0], GOLDEN_QUICK_300[1]]
 
-        injected = simulate_jobs_supervised(
-            [(_golden_scenario(), 0), (_golden_scenario(), 1)],
-            policy=RetryPolicy(backoff_base=0.01),
-            job_fn=CrashOnce(_simulate_job, tmp_path),
-        )
+        injected = _sweep(CrashOnce(_simulate, tmp_path), [0, 1], policy)
         assert injected.ok
         assert injected.report.retries == 2  # both workers were killed once
         assert [trace_fingerprint(t) for t in injected.results] == clean
 
     def test_transient_error_heals_to_identical_trace(self, tmp_path):
-        injected = simulate_jobs_supervised(
-            [(_golden_scenario(), 0)],
-            policy=RetryPolicy(backoff_base=0.01),
-            job_fn=FailOnce(_simulate_job, tmp_path),
+        injected = _sweep(
+            FailOnce(_simulate, tmp_path), [0], RetryPolicy(backoff_base=0.01)
         )
         assert injected.ok and injected.report.retries == 1
         assert trace_fingerprint(injected.results[0]) == GOLDEN_QUICK_300[0]
 
 
-class TestHangThroughParallelLayer:
+class TestHangThroughSupervisor:
     def test_hung_simulation_is_killed_and_retried(self, tmp_path):
-        injected = simulate_jobs_supervised(
-            [(_golden_scenario(), 0)],
-            policy=RetryPolicy(timeout=5.0, backoff_base=0.01),
-            job_fn=HangOnce(_simulate_job, tmp_path, hang_seconds=120.0),
+        injected = _sweep(
+            HangOnce(_simulate, tmp_path, hang_seconds=120.0),
+            [0],
+            RetryPolicy(timeout=5.0, backoff_base=0.01),
         )
         # hang (120 s) >> timeout (5 s) >> one 300-bin simulation (<2 s):
         # the only way this passes quickly is the kill-and-retry path.
@@ -93,12 +90,10 @@ class TestHangThroughParallelLayer:
         assert trace_fingerprint(injected.results[0]) == GOLDEN_QUICK_300[0]
 
     def test_terminal_failure_degrades_gracefully(self, tmp_path):
-        always = FailOnce(_simulate_job, tmp_path)
+        always = FailOnce(_simulate, tmp_path)
         always._should_fire = lambda payload: True  # every attempt fails
-        sweep = simulate_jobs_supervised(
-            [(_golden_scenario(), 0), (_golden_scenario(), 1)],
-            policy=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            job_fn=always,
+        sweep = _sweep(
+            always, [0, 1], RetryPolicy(max_attempts=2, backoff_base=0.01)
         )
         assert not sweep.ok
         assert sweep.report.failed_indices == [0, 1]
@@ -106,19 +101,19 @@ class TestHangThroughParallelLayer:
 
 
 class TestCorruptedCache:
-    def test_supervised_sweep_quarantines_and_resimulates(self, tmp_path):
+    def test_corrupted_entry_is_quarantined_and_resimulated(self, tmp_path):
         """Acceptance: a corrupted entry is moved aside and re-simulated."""
         scenario = _golden_scenario()
         cache = TraceCache(tmp_path / "cache")
-        first = generate_traces_supervised(scenario, seeds=[0], cache=cache)
+        generate_trace(scenario, seed=0, cache=cache)
         assert cache.stores == 1
 
         bad = corrupt_cache_entry(cache, trace_cache_params(scenario, 0))
         with pytest.warns(RuntimeWarning, match="unreadable"):
-            again = generate_traces_supervised(scenario, seeds=[0], cache=cache)
+            again = generate_trace(scenario, seed=0, cache=cache)
         assert cache.quarantined == 1
         assert (cache.quarantine_dir / bad.name).exists()  # evidence kept
-        assert trace_fingerprint(again.results[0]) == GOLDEN_QUICK_300[0]
+        assert trace_fingerprint(again) == GOLDEN_QUICK_300[0]
         assert cache.stores == 2 and bad.exists()  # the slot was repopulated
 
     @pytest.mark.parametrize("mode", ["truncate", "garbage"])
@@ -135,23 +130,6 @@ class TestCorruptedCache:
         cache = TraceCache(tmp_path / "cache")
         with pytest.raises(FileNotFoundError):
             corrupt_cache_entry(cache, {"no": "entry"})
-
-
-class TestSupervisedEqualsPlain:
-    def test_supervised_matches_serial_and_uses_cache(self, tmp_path):
-        scenario = _golden_scenario()
-        cache = TraceCache(tmp_path / "cache")
-        seeds = derive_seeds(7, 2)
-        sweep = generate_traces_supervised(scenario, seeds=seeds, cache=cache)
-        assert sweep.ok
-        for seed, trace in zip(seeds, sweep.results):
-            want = generate_trace(scenario, seed=seed)
-            assert trace_fingerprint(trace) == trace_fingerprint(want)
-        # Second run: all hits, no supervision needed.
-        warm = generate_traces_supervised(scenario, seeds=seeds, cache=cache)
-        assert warm.ok and cache.hits == 2
-        for a, b in zip(sweep.results, warm.results):
-            assert trace_fingerprint(a) == trace_fingerprint(b)
 
 
 class TestPayloadKey:

@@ -18,7 +18,7 @@ import repro.resilience.budget as budget_mod
 import repro.resilience.checkpoint as checkpoint_mod
 import repro.resilience.journal as journal_mod
 import repro.resilience.supervisor as supervisor_mod
-from repro.eval import generate_traces, quick_scenario, simulate_jobs
+from repro.eval import generate_dataset, generate_trace, quick_scenario
 from repro.imputation import Trainer, TrainerConfig, TransformerImputer
 from repro.imputation.transformer_imputer import TransformerConfig
 from repro.smt import IntVar, Solver
@@ -57,13 +57,13 @@ def _tiny_trainer(dataset, epochs=1):
 
 
 class TestDefaultPathsAreSeedPaths:
-    def test_simulate_jobs_never_builds_a_supervisor(self, forbid_resilience):
+    def test_generate_dataset_never_builds_a_supervisor(self, forbid_resilience):
         import dataclasses
 
         scenario = dataclasses.replace(quick_scenario(), duration_bins=200)
-        traces = simulate_jobs([(scenario, 0)], workers=1)
-        assert traces[0].num_bins == 200
-        assert generate_traces(scenario, [1], workers=1)[0] is not None
+        assert generate_trace(scenario, seed=0).num_bins == 200
+        train, _, _ = generate_dataset(quick_scenario(), seed=1)
+        assert len(train) > 0
 
     def test_default_train_never_checkpoints(self, forbid_resilience, small_dataset):
         trainer = _tiny_trainer(small_dataset)

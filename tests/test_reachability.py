@@ -21,8 +21,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 #: Unreached modules that stay, with the reason.
 ALLOWLIST = {
-    "repro.eval.parallel": "README's parallel-sweep claim is tested, and the "
-    "planned multi-seed statistic may fan its seeds out with it",
     "repro.resilience.faults": "fault injectors that spawned workers must be "
     "able to import by module name",
     "repro.traffic.extra": "OnOffTraffic drives the engine-equivalence "
