@@ -24,7 +24,7 @@ from repro.autodiff.tensor import (
     set_default_dtype,
 )
 from repro.autodiff import functional
-from repro.autodiff.fused import fused_kernels, fused_kernels_enabled, set_fused_kernels
+from repro.autodiff.fused import fused_kernels, fused_kernels_enabled
 from repro.autodiff.module import Module, Parameter
 from repro.autodiff.optim import SGD, Adam, clip_grad_norm
 
@@ -36,7 +36,6 @@ __all__ = [
     "set_default_dtype",
     "fused_kernels",
     "fused_kernels_enabled",
-    "set_fused_kernels",
     "functional",
     "Module",
     "Parameter",

@@ -3,9 +3,9 @@
 Everything here is expressed in terms of the primitive ops in
 :mod:`repro.autodiff.tensor`, so gradients come for free and stay exact.
 The transformer hot-path ops (softmax, log-softmax, GELU, layer-norm)
-dispatch to :mod:`repro.autodiff.fused` by default; the composite bodies
-below are the reference implementations the fused kernels are verified
-against (see :func:`repro.autodiff.fused.set_fused_kernels`).
+dispatch to :mod:`repro.autodiff.fused`; the composite bodies below are
+the reference implementations the fused kernels are verified against,
+selected only inside :func:`repro.autodiff.fused.fused_kernels` ``(False)``.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ mathematical function as one graph node with a closed-form backward:
   and gradients it reproduces bit for bit
   (:func:`repro.testing.attention_node_chain` is that oracle).
 
-Fusion is enabled by default; :func:`set_fused_kernels` /
-:func:`fused_kernels` switch back to the composite reference path, which
-differential tests and benchmarks use as the baseline.
+Production always runs the fused kernels.  :func:`fused_kernels` is the
+oracle switch: ``fused_kernels(False)`` sends the functional ops back to
+their composite bodies, which differential tests and benchmarks use as
+the reference, wherever it encloses a forward, a backward or a training
+run.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import contextlib
 
 import numpy as np
 
-from repro.autodiff import tensor as _tensor_mod
 from repro.autodiff.tensor import Tensor, _unbroadcast, grad_enabled
 
 _FUSED_ENABLED = True
@@ -47,28 +48,20 @@ def fused_kernels_enabled() -> bool:
     return _FUSED_ENABLED
 
 
-def set_fused_kernels(enabled: bool) -> None:
-    """Globally enable/disable the fused kernels (reference = composite).
-
-    The gradient-accumulation strategy switches in lockstep: disabling
-    the fused kernels also restores the pre-optimization allocate-and-add
-    accumulation, so the reference path measures the original execution
-    end to end (see :func:`repro.autodiff.tensor.set_optimized_accumulation`).
-    """
-    global _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    _tensor_mod.set_optimized_accumulation(_FUSED_ENABLED)
-
-
 @contextlib.contextmanager
 def fused_kernels(enabled: bool):
-    """Context manager scoping :func:`set_fused_kernels`."""
+    """Dispatch functional ops to the fused kernels or the composites.
+
+    ``fused_kernels(False)`` selects the composite reference ops for the
+    enclosed code and restores the previous choice on exit.
+    """
+    global _FUSED_ENABLED
     previous = _FUSED_ENABLED
-    set_fused_kernels(enabled)
+    _FUSED_ENABLED = bool(enabled)
     try:
         yield
     finally:
-        set_fused_kernels(previous)
+        _FUSED_ENABLED = previous
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -10,12 +10,10 @@ recycled across batches — on the profiled trainer this is worth ~1.5x
 wall-clock by itself.
 
 :func:`large_alloc_reuse` scopes the tuning with ``mallopt`` and
-restores glibc defaults when the outermost scope exits, so
-reference-path measurements taken outside the context see the untouched
-allocator.  On platforms without glibc ``mallopt`` the context is a
-documented no-op.  :func:`kernel_scope` is the one place that couples
-kernel selection to the allocator: the fused path runs with the tuning,
-the composite reference path without it.
+restores glibc defaults when the outermost scope exits.  On platforms
+without glibc ``mallopt`` the context is a documented no-op.  Training
+(:class:`~repro.imputation.trainer.Trainer`), Table 1, the robustness
+suite and the serve experiment each run inside it.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ import ctypes
 import ctypes.util
 import functools
 import threading
-
-from repro.autodiff.fused import fused_kernels
 
 # mallopt parameter numbers from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
@@ -88,15 +84,3 @@ def large_alloc_reuse():
                 mallopt(_M_MMAP_THRESHOLD, _DEFAULT_MMAP)
                 mallopt(_M_TRIM_THRESHOLD, _DEFAULT_TRIM)
 
-
-@contextlib.contextmanager
-def kernel_scope(fused: bool):
-    """Select the fused kernels (with allocator reuse) or the reference path.
-
-    ``fused=True`` is the optimized runtime: fused kernels plus recycled
-    multi-MB scratch buffers.  ``fused=False`` is the composite reference
-    path on the untouched allocator.
-    """
-    reuse = large_alloc_reuse() if fused else contextlib.nullcontext()
-    with fused_kernels(fused), reuse:
-        yield

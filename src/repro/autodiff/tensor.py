@@ -4,7 +4,9 @@ Each operation returns a new :class:`Tensor` whose ``_backward`` closure
 knows how to push the output gradient to its parents.  Calling
 :meth:`Tensor.backward` runs a topological sort of the recorded graph and
 accumulates gradients into every leaf tensor with ``requires_grad=True``;
-each interior gradient is released once it has been propagated.
+each interior gradient is released once it has been propagated.  A leaf
+reuses its private gradient buffer across backward passes, and an
+interior node adopts its first contribution without copying.
 
 The op set is intentionally the minimum the rest of the library needs
 (transformer layers, EMD loss, differentiable constraint relaxations), but
@@ -72,24 +74,6 @@ def no_grad():
 def grad_enabled() -> bool:
     """Return whether operations currently record the autodiff graph."""
     return _GRAD_ENABLED
-
-
-_OPTIMIZED_ACCUMULATION = True
-
-
-def set_optimized_accumulation(enabled: bool) -> None:
-    """Select the gradient-accumulation strategy.
-
-    ``True`` (default): leaves reuse a private grad buffer across
-    backward passes and interior nodes adopt their first contribution
-    without copying.  ``False`` restores the pre-optimization
-    allocate-and-add behaviour for every node; the fused-kernel switch
-    (:func:`repro.autodiff.fused.set_fused_kernels`) toggles this in
-    lockstep so reference benchmarks measure the original execution
-    path faithfully.  Both strategies produce bit-identical gradients.
-    """
-    global _OPTIMIZED_ACCUMULATION
-    _OPTIMIZED_ACCUMULATION = bool(enabled)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -214,14 +198,6 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if not _OPTIMIZED_ACCUMULATION:
-            # Reference accumulation: allocate-and-add for every node.
-            # Selected together with the composite kernels so reference
-            # benchmarks measure the pre-optimization execution faithfully.
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad += grad
-            return
         if self.grad is None:
             if self._parents:
                 # Interior node: adopt the contribution without copying.

@@ -69,12 +69,6 @@ class Table1Config:
     burst_threshold: float = 5.0
     seed: int = 0
     dtype: str = "float32"  # training precision (see TrainerConfig.dtype)
-    fused_kernels: bool = True  # fused attention/softmax/layer-norm path
-    cem_vectorized: bool = True  # vectorized CEM projection passes; False
-    # runs the per-interval reference loop (same outputs, bit for bit)
-    batch_inference: bool = True  # impute test windows in batched forward
-    # passes; False runs the pre-optimization per-sample path (identical
-    # outputs — see TransformerImputer.impute_batch)
 
 
 @dataclass
@@ -115,11 +109,10 @@ class Table1Result:
 
 
 def _evaluate_method(
-    impute_fn,
+    impute_batch_fn,
     test: TelemetryDataset,
     config: Table1Config,
     method: str = "",
-    batch_impute_fn=None,
     batch_size: int = 16,
 ) -> tuple[dict[str, float], float]:
     """Mean consistency + downstream errors of a method over the test set.
@@ -128,11 +121,10 @@ def _evaluate_method(
     ``method`` labels the span and, when metrics are on, the per-window
     C1/C2/C3 residual histograms (``table1.<method>.residual.c1`` ...).
 
-    ``batch_impute_fn`` (samples -> list of arrays) amortises the
-    per-forward overhead for methods that can impute many windows in one
-    pass; each window's result is identical to the per-sample call (see
-    :meth:`TransformerImputer.impute_batch`), so the table's values do
-    not depend on which path ran.
+    ``impute_batch_fn`` maps a chunk of up to ``batch_size`` samples to
+    their imputed arrays, so the transformer columns amortise the
+    per-forward overhead (each window's result equals the per-sample
+    :meth:`TransformerImputer.impute`).
     """
     consistency = {"max": [], "periodic": [], "sent": []}
     downstream: list[DownstreamReport] = []
@@ -140,19 +132,12 @@ def _evaluate_method(
     with obs.span("table1.evaluate", method=method, windows=len(test.samples)):
         record_residuals = obs.metrics_enabled() and method
         batched: list[np.ndarray] = []
-        if batch_impute_fn is not None:
-            for start_index in range(0, len(test.samples), batch_size):
-                chunk = test.samples[start_index : start_index + batch_size]
-                start = time.perf_counter()
-                batched.extend(batch_impute_fn(chunk))
-                elapsed += time.perf_counter() - start
-        for index, sample in enumerate(test.samples):
-            if batch_impute_fn is not None:
-                imputed = batched[index]
-            else:
-                start = time.perf_counter()
-                imputed = impute_fn(sample)
-                elapsed += time.perf_counter() - start
+        for start_index in range(0, len(test.samples), batch_size):
+            chunk = test.samples[start_index : start_index + batch_size]
+            start = time.perf_counter()
+            batched.extend(impute_batch_fn(chunk))
+            elapsed += time.perf_counter() - start
+        for imputed, sample in zip(batched, test.samples, strict=True):
             report = check_constraints(imputed, sample, test.switch_config)
             consistency["max"].append(report.max_error)
             consistency["periodic"].append(report.periodic_error)
@@ -227,7 +212,6 @@ def train_transformer(
             mu=config.mu,
             seed=config.seed,
             dtype=config.dtype,
-            fused_kernels=config.fused_kernels,
         ),
         val=val,
     )
@@ -294,12 +278,12 @@ def run_table1(
     behaviour with zero overhead.
     """
     config = config if config is not None else Table1Config()
-    from repro.autodiff.runtime import kernel_scope
+    from repro.autodiff.runtime import large_alloc_reuse
 
     with obs.span("table1.run", seed=config.seed, epochs=config.epochs):
-        # Covers inference too: the evaluation columns run the same
-        # kernel selection the models were trained under.
-        with kernel_scope(config.fused_kernels):
+        # Covers inference too: the evaluation columns recycle the same
+        # scratch buffers as training.
+        with large_alloc_reuse():
             return _run_table1(config, datasets, pretrained, journal)
 
 
@@ -328,7 +312,12 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
     cell = recorded("IterImputer")
     if cell is None:
         iterative = IterativeImputer()
-        iter_values, _ = _evaluate_method(iterative.impute, test, config, method="iter")
+        iter_values, _ = _evaluate_method(
+            lambda chunk: [iterative.impute(sample) for sample in chunk],
+            test,
+            config,
+            method="iter",
+        )
         commit("IterImputer", {"values": iter_values})
     else:
         iter_values = cell["values"]
@@ -355,11 +344,7 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
 
     if plain_cell is None:
         plain_values, _ = _evaluate_method(
-            plain_model.impute,
-            test,
-            config,
-            method="plain",
-            batch_impute_fn=plain_model.impute_batch if config.batch_inference else None,
+            plain_model.impute_batch, test, config, method="plain"
         )
         commit("Transformer", {"values": plain_values})
     else:
@@ -369,11 +354,7 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
 
     if kal_cell is None:
         kal_values, _ = _evaluate_method(
-            kal_model.impute,
-            test,
-            config,
-            method="kal",
-            batch_impute_fn=kal_model.impute_batch if config.batch_inference else None,
+            kal_model.impute_batch, test, config, method="kal"
         )
         commit("Transformer+KAL", {"values": kal_values})
     else:
@@ -382,9 +363,7 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
         values[key]["Transformer+KAL"] = value
 
     if cem_cell is None:
-        enforcer = ConstraintEnforcer(
-            test.switch_config, vectorized=config.cem_vectorized
-        )
+        enforcer = ConstraintEnforcer(test.switch_config)
         record_before = obs.metrics_enabled()
 
         def _finish(imputed, sample):
@@ -398,10 +377,7 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
                 obs.histogram("cem.residual_before.c3").observe(report.sent_error)
             return enforcer.enforce(imputed, sample)
 
-        def full_method(sample):
-            return _finish(kal_model.impute(sample), sample)
-
-        def full_method_batch(chunk):
+        def full_method(chunk):
             return [
                 _finish(imputed, sample)
                 for imputed, sample in zip(kal_model.impute_batch(chunk), chunk)
@@ -409,19 +385,14 @@ def _run_table1(config, datasets, pretrained, journal) -> Table1Result:
 
         with obs.profile_stage("table1.cem"):
             full_values, cem_seconds = _evaluate_method(
-                full_method,
-                test,
-                config,
-                method="full",
-                batch_impute_fn=full_method_batch if config.batch_inference else None,
+                full_method, test, config, method="full"
             )
         commit("Transformer+KAL+CEM", {"values": full_values})
     else:
         full_values = cem_cell["values"]
         # Timings are deliberately not journaled (they would make two
-        # runs of one config byte-different); pre-unification journals
-        # may still carry the key, so keep reading it.
-        cem_seconds = float(cem_cell.get("cem_seconds_per_window", 0.0))
+        # runs of one config byte-different).
+        cem_seconds = 0.0
     for key, value in full_values.items():
         values[key]["Transformer+KAL+CEM"] = value
 

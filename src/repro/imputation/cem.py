@@ -29,15 +29,15 @@ solution (the ground truth is one), and the passes above find one for any
 such measurement set.  Inconsistent measurements raise
 :class:`CEMInfeasibleError`.
 
-Each pass has two implementations: a vectorized one operating on all
-ports × queues × intervals at once (the default — the projection is
-separable per interval, the same trick ``ArraySwitchEngine`` plays on the
-simulator), and the original per-interval loop kept as the reference.
-Both are bit-identical in float64; the ``cem_vectorized`` differential
-fuzz harness (:mod:`repro.testing.differential`) enforces that.  The only
-permitted divergence is *which* infeasibility is reported first on
-inconsistent inputs, since the vectorized passes scan blocks in a
-different order.
+Each pass operates on all ports × queues × intervals at once (the
+projection is separable per interval, the same trick ``ArraySwitchEngine``
+plays on the simulator).  The per-interval loop they replaced lives on as
+a test oracle, :func:`repro.testing.cem_interval_loop`; the
+``cem_vectorized`` differential fuzz harness
+(:mod:`repro.testing.differential`) holds the two bit-identical in
+float64.  The only permitted divergence is *which* infeasibility is
+reported first on inconsistent inputs, since the passes here scan blocks
+in a different order.
 
 A reference MILP formulation of the same projection lives in
 :mod:`repro.fm.cem_milp`; the test suite cross-checks this fast projection
@@ -72,13 +72,11 @@ class ConstraintEnforcer:
         config: SwitchConfig,
         epsilon: float = NONEMPTY_EPSILON,
         validate: bool = True,
-        vectorized: bool = True,
     ):
         check_positive("epsilon", epsilon)
         self.config = config
         self.epsilon = float(epsilon)
         self.validate = validate
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
     # Public API
@@ -94,16 +92,10 @@ class ConstraintEnforcer:
         np.clip(corrected, 0.0, None, out=corrected)
 
         with obs.span("cem.enforce", bins=sample.num_bins):
-            obs.gauge("cem.vectorized").set(1.0 if self.vectorized else 0.0)
             self._pin_samples(corrected, sample)
-            if self.vectorized:
-                self._clip_to_max_vectorized(corrected, sample)
-                self._enforce_sent_bound_vectorized(corrected, sample)
-                self._raise_to_max_vectorized(corrected, sample)
-            else:
-                self._clip_to_max(corrected, sample)
-                self._enforce_sent_bound(corrected, sample)
-                self._raise_to_max(corrected, sample)
+            self._clip_to_max(corrected, sample)
+            self._enforce_sent_bound(corrected, sample)
+            self._raise_to_max(corrected, sample)
 
             if self.validate:
                 report = check_constraints(corrected, sample, self.config)
@@ -131,87 +123,6 @@ class ConstraintEnforcer:
     def _pin_samples(series: np.ndarray, sample: ImputationSample) -> None:
         series[:, sample.sample_positions] = sample.m_sample
 
-    @staticmethod
-    def _clip_to_max(series: np.ndarray, sample: ImputationSample) -> None:
-        interval = sample.interval
-        for i in range(sample.num_intervals):
-            span = slice(i * interval, (i + 1) * interval)
-            np.minimum(series[:, span], sample.m_max[:, i : i + 1], out=series[:, span])
-
-    def _enforce_sent_bound(self, series: np.ndarray, sample: ImputationSample) -> None:
-        interval = sample.interval
-        eps = self.epsilon
-        pinned = np.zeros(sample.num_bins, dtype=bool)
-        pinned[sample.sample_positions] = True
-        for port in range(self.config.num_ports):
-            rows = list(self.config.queues_of_port(port))
-            for i in range(sample.num_intervals):
-                span = np.arange(i * interval, (i + 1) * interval)
-                mass = series[np.ix_(rows, span)].sum(axis=0)
-                busy = mass > eps
-                excess = int(busy.sum()) - int(sample.m_sent[port, i])
-                if excess <= 0:
-                    continue
-                candidates = span[busy & ~pinned[span]]
-                if len(candidates) < excess:
-                    raise CEMInfeasibleError(
-                        f"port {port} interval {i}: {int(busy.sum())} busy bins, "
-                        f"{int(sample.m_sent[port, i])} packets sent, but only "
-                        f"{len(candidates)} bins can be emptied"
-                    )
-                costs = series[np.ix_(rows, candidates)].sum(axis=0)
-                cheapest = candidates[np.argsort(costs, kind="stable")[:excess]]
-                series[np.ix_(rows, cheapest)] = 0.0
-
-    def _raise_to_max(self, series: np.ndarray, sample: ImputationSample) -> None:
-        interval = sample.interval
-        eps = self.epsilon
-        pinned = np.zeros(sample.num_bins, dtype=bool)
-        pinned[sample.sample_positions] = True
-        port_of_queue = [
-            port
-            for port in range(self.config.num_ports)
-            for _ in self.config.queues_of_port(port)
-        ]
-        for queue in range(sample.num_queues):
-            port = port_of_queue[queue]
-            rows = list(self.config.queues_of_port(port))
-            for i in range(sample.num_intervals):
-                target = sample.m_max[queue, i]
-                if target <= 0:
-                    continue  # C1-down already forced the interval to zero
-                span = np.arange(i * interval, (i + 1) * interval)
-                values = series[queue, span]
-                if values.max() >= target - 1e-9:
-                    continue
-                port_mass = series[np.ix_(rows, span)].sum(axis=0)
-                busy = port_mass > eps
-                free = ~pinned[span]
-                budget = int(sample.m_sent[port, i]) - int(busy.sum())
-
-                busy_free = span[busy & free]
-                if len(busy_free) > 0:
-                    # Raising where the port is already busy costs no C3
-                    # budget; pick the bin needing the smallest raise.
-                    best = busy_free[np.argmax(series[queue, busy_free])]
-                elif budget > 0:
-                    idle_free = span[~busy & free]
-                    if len(idle_free) == 0:
-                        raise CEMInfeasibleError(
-                            f"queue {queue} interval {i}: no bin available to "
-                            f"carry the measured max {target}"
-                        )
-                    best = idle_free[np.argmax(series[queue, idle_free])]
-                else:
-                    raise CEMInfeasibleError(
-                        f"queue {queue} interval {i}: max {target} cannot be "
-                        "placed without exceeding the sent-count bound"
-                    )
-                series[queue, best] = target
-
-    # ------------------------------------------------------------------
-    # Vectorized passes (bit-identical to the loops above in float64)
-    # ------------------------------------------------------------------
     def _blocks(self, series: np.ndarray, sample: ImputationSample) -> np.ndarray:
         """View ``series`` as (ports, queues_per_port, intervals, bins).
 
@@ -228,15 +139,12 @@ class ConstraintEnforcer:
         pinned[sample.sample_positions] = True
         return pinned.reshape(sample.num_intervals, sample.interval)
 
-    def _clip_to_max_vectorized(
-        self, series: np.ndarray, sample: ImputationSample
-    ) -> None:
+    @staticmethod
+    def _clip_to_max(series: np.ndarray, sample: ImputationSample) -> None:
         shaped = series.reshape(sample.num_queues, sample.num_intervals, sample.interval)
         np.minimum(shaped, sample.m_max[:, :, None], out=shaped)
 
-    def _enforce_sent_bound_vectorized(
-        self, series: np.ndarray, sample: ImputationSample
-    ) -> None:
+    def _enforce_sent_bound(self, series: np.ndarray, sample: ImputationSample) -> None:
         blocks = self._blocks(series, sample)
         pinned = self._pinned_mask(sample)  # (I, L)
 
@@ -260,8 +168,9 @@ class ConstraintEnforcer:
             )
 
         # Rank eligible bins by cost (total port mass), stable so ties
-        # break by bin index exactly like the reference argsort over the
-        # candidate subsequence; ineligible bins rank last via +inf.
+        # break by bin index exactly like the per-interval oracle's
+        # argsort over the candidate subsequence; ineligible bins rank
+        # last via +inf.
         costs = np.where(eligible, mass, np.inf)
         order = np.argsort(costs, axis=-1, kind="stable")
         ranks = np.empty_like(order)
@@ -271,9 +180,7 @@ class ConstraintEnforcer:
         zero_mask = (ranks < excess[:, :, None]) & need[:, :, None]  # (P, I, L)
         blocks[np.broadcast_to(zero_mask[:, None, :, :], blocks.shape)] = 0.0
 
-    def _raise_to_max_vectorized(
-        self, series: np.ndarray, sample: ImputationSample
-    ) -> None:
+    def _raise_to_max(self, series: np.ndarray, sample: ImputationSample) -> None:
         blocks = self._blocks(series, sample)
         per_port = self.config.queues_per_port
         pinned = self._pinned_mask(sample)  # (I, L)
@@ -315,7 +222,7 @@ class ConstraintEnforcer:
                 )
 
             # Masked argmax: values are >= 0, so -1 never wins and the
-            # first maximal eligible bin is selected, like the reference.
+            # first maximal eligible bin is selected, like the oracle.
             best_busy = np.argmax(np.where(busy_free, queue_block, -1.0), axis=-1)
             best_idle = np.argmax(np.where(idle_free, queue_block, -1.0), axis=-1)
             best = np.where(raise_busy, best_busy, best_idle)

@@ -44,7 +44,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.autodiff.optim import Adam, clip_grad_norm
-from repro.autodiff.runtime import kernel_scope
+from repro.autodiff.runtime import large_alloc_reuse
 from repro.autodiff.tensor import Tensor, default_dtype, no_grad
 from repro.constraints.differentiable import phi_max, phi_periodic, psi_sent
 from repro.constraints.spec import check_constraints
@@ -82,8 +82,6 @@ class TrainerConfig:
     log_every: int = 0  # epochs between stdout progress lines; 0 = silent
     dtype: str = "float32"  # training precision; float64 for gradient
     # checks and bit-identity against the reference kernels
-    fused_kernels: bool = True  # fused softmax/layer-norm/GELU kernels;
-    # False falls back to the composite reference ops
 
     def __post_init__(self):
         check_positive("epochs", self.epochs)
@@ -262,8 +260,8 @@ class Trainer:
 
     @contextlib.contextmanager
     def _compute_context(self):
-        """Dtype + kernel-selection context every forward/backward runs in."""
-        with default_dtype(self._dtype), kernel_scope(self.config.fused_kernels):
+        """Dtype + allocator context every forward/backward runs in."""
+        with default_dtype(self._dtype), large_alloc_reuse():
             yield
 
     def _train_epochs(self, cfg, n, checkpoint_path, checkpoint_every) -> None:

@@ -225,13 +225,17 @@ def _run_bench(args: argparse.Namespace) -> int:
     tolerance = (
         bench_history.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     )
-    lines, regressions = bench_history.check(
-        args.root,
-        args.ledger,
-        tolerance=tolerance,
-        benches=args.bench,
-        strict=args.strict,
-    )
+    try:
+        lines, regressions = bench_history.check(
+            args.root,
+            args.ledger,
+            tolerance=tolerance,
+            benches=args.bench,
+            strict=args.strict,
+        )
+    except ValueError as exc:
+        print(f"bench check: {exc}", file=sys.stderr)
+        return 2
     for line in lines:
         print(line)
     if regressions:

@@ -69,7 +69,6 @@ TRACKED: dict[str, tuple[TrackedMetric, ...]] = {
     "train": (
         TrackedMetric("train_speedup", "higher"),
         TrackedMetric("cem_speedup", "higher"),
-        TrackedMetric("table1_speedup", "higher"),
     ),
     "serve": (
         TrackedMetric("switch_intervals_per_sec", "higher"),
@@ -116,20 +115,41 @@ def discover_artifacts(root: "str | os.PathLike[str]") -> list[dict[str, Any]]:
 
 
 def load_ledger(path: "str | os.PathLike[str]") -> list[dict[str, Any]]:
+    """The ledger's entries in append order.
+
+    Only the final line may fail to parse: an append cut short leaves a
+    torn last line, which is skipped.  A malformed line anywhere else
+    raises ``ValueError``, so a lost baseline fails the gate instead of
+    turning it into "no baseline — skipped".
+    """
     ledger_path = Path(path)
     if not ledger_path.exists():
         return []
+    lines = ledger_path.read_text(encoding="utf-8").splitlines()
     entries = []
-    with open(ledger_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except ValueError:
-                continue  # torn trailing line
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entries.append(json.loads(line))
+        except ValueError as exc:
+            if number == len(lines):
+                break  # torn trailing line
+            raise ValueError(
+                f"{ledger_path}:{number}: malformed ledger line ({exc})"
+            ) from exc
     return entries
+
+
+def _ends_mid_line(path: Path) -> bool:
+    """Whether ``path`` is non-empty and its last byte is not a newline."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except OSError:  # missing, or empty (seek before the start)
+        return False
 
 
 def ledger_entry(
@@ -170,7 +190,11 @@ def ingest(
         entries.append(ledger_entry(artifact, baseline))
     if entries:
         ledger_path.parent.mkdir(parents=True, exist_ok=True)
+        # A torn last line must not swallow the first new entry.
+        torn = _ends_mid_line(ledger_path)
         with open(ledger_path, "a", encoding="utf-8") as handle:
+            if torn:
+                handle.write("\n")
             for entry in entries:
                 handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
     return entries

@@ -65,7 +65,6 @@ class RobustnessConfig:
     mu: float = 0.5
     seed: int = 0
     dtype: str = "float32"
-    fused_kernels: bool = True
 
 
 # The structural axes post-date the pinned robustness digests (trace

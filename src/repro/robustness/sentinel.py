@@ -141,9 +141,7 @@ def calibrate_sentinel(
             qlen_scale=dataset.scaler.qlen_scale,
             calibration_size=len(dataset),
         )
-    enforcer = (
-        ConstraintEnforcer(dataset.switch_config, vectorized=True) if use_cem else None
-    )
+    enforcer = ConstraintEnforcer(dataset.switch_config) if use_cem else None
     probe = OODSentinel(
         threshold=float("inf"),
         quantile=quantile,

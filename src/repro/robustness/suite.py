@@ -184,7 +184,6 @@ def table1_config_from(config: RobustnessConfig):
         mu=config.mu,
         seed=config.seed,
         dtype=config.dtype,
-        fused_kernels=config.fused_kernels,
     )
 
 
@@ -405,7 +404,7 @@ def run_robustness(
     the trained models and the config, so both paths give the same
     result bit for bit.
     """
-    from repro.autodiff.runtime import kernel_scope
+    from repro.autodiff.runtime import large_alloc_reuse
     from repro.eval.scenarios import generate_dataset, generate_trace
     from repro.eval.table1 import train_pair
     from repro.imputation.cem import ConstraintEnforcer
@@ -417,7 +416,7 @@ def run_robustness(
     grid = shift_grid(config)
 
     with obs.span("robustness.run", seed=config.seed, points=len(grid)):
-        with kernel_scope(config.fused_kernels):
+        with large_alloc_reuse():
             with obs.span("robustness.dataset"):
                 train, val, _ = generate_dataset(
                     config.scenario, seed=config.seed, selfcheck=selfcheck
@@ -484,9 +483,7 @@ def run_robustness(
                         )
                         for sample in samples
                     ]
-                enforcer = ConstraintEnforcer(
-                    point_switch_config, vectorized=True
-                )
+                enforcer = ConstraintEnforcer(point_switch_config)
                 with obs.span(
                     "robustness.point", axis=point.axis, value=point.value
                 ):

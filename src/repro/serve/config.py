@@ -86,7 +86,6 @@ class ServeConfig:
     mu: float = 0.5
     seed: int = 0
     dtype: str = "float32"  # float64 gives bit-exact stream/offline parity
-    fused_kernels: bool = True
 
 
 # ``ood_threshold`` post-dates the pinned serve digests (examples corpus,

@@ -35,7 +35,6 @@ def table1_config_from(config: ServeConfig):
         mu=config.mu,
         seed=config.seed,
         dtype=config.dtype,
-        fused_kernels=config.fused_kernels,
     )
 
 
@@ -56,7 +55,7 @@ def run_serve_experiment(
     objectives" apart from "the service is broken".
     """
     import repro.obs as obs
-    from repro.autodiff.runtime import kernel_scope
+    from repro.autodiff.runtime import large_alloc_reuse
     from repro.eval.scenarios import generate_dataset, generate_trace
     from repro.eval.table1 import train_transformer
     from repro.serve.records import records_from_telemetry
@@ -64,9 +63,9 @@ def run_serve_experiment(
     from repro.telemetry.sampling import sample_trace
 
     with obs.span("serve.run", seed=config.seed, switches=config.num_switches):
-        # Same kernel selection as the offline pipeline — training *and*
+        # Same allocator tuning as the offline pipeline — training *and*
         # the streamed inference run under it.
-        with kernel_scope(config.fused_kernels):
+        with large_alloc_reuse():
             with obs.span("serve.dataset"):
                 train, val, _ = generate_dataset(config.scenario, seed=config.seed)
             model, train_seconds = train_transformer(

@@ -117,9 +117,7 @@ class _ShardJob:
         self.use_cem = use_cem
         self.selfcheck = selfcheck
         self.sentinel = sentinel
-        self.enforcer = (
-            ConstraintEnforcer(switch_config, vectorized=True) if use_cem else None
-        )
+        self.enforcer = ConstraintEnforcer(switch_config) if use_cem else None
 
     def __call__(self, payload: tuple) -> list[_WindowResult]:
         dispatch, shard, tasks = payload

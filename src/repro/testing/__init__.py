@@ -16,9 +16,10 @@ checks:
   always reduces to a small JSON repro config;
 * :mod:`repro.testing.differential` — harnesses that diff the fast
   implementations against their reference twins (ArraySwitchEngine vs the
-  per-packet loop, combinatorial CEM vs the MILP formulation, native
-  simplex vs brute-force enumeration, the fused attention node vs the
-  node chain it replaced);
+  per-packet loop, combinatorial CEM vs the MILP formulation, the CEM
+  passes vs the per-interval loop they replaced, native simplex vs
+  brute-force enumeration, the fused attention node vs the node chain it
+  replaced);
 * :mod:`repro.testing.minimize` — greedy counterexample shrinking (bisect
   the time horizon, drop ports/queues, thin the traffic) so a fuzz failure
   lands as a ~10-line repro instead of a 12 000-bin trace;
@@ -65,6 +66,7 @@ from repro.testing.differential import (
     Discrepancy,
     FuzzReport,
     attention_node_chain,
+    cem_interval_loop,
     diff_attention,
     diff_cem,
     diff_engines,
@@ -107,6 +109,7 @@ __all__ = [
     "Discrepancy",
     "FuzzReport",
     "attention_node_chain",
+    "cem_interval_loop",
     "diff_attention",
     "diff_cem",
     "diff_engines",

@@ -17,9 +17,9 @@ detail string describing the first divergence:
   optimal, so equal cost is the equivalence criterion — the argmin need
   not be unique);
 * :func:`diff_cem_vectorized` — the vectorized CEM projection passes vs
-  the per-interval reference loop they replaced, compared *bit-exactly*
-  (same zeroed queues, same raised samples) including infeasibility
-  agreement;
+  :func:`cem_interval_loop`, the per-interval loop they replaced,
+  compared *bit-exactly* (same zeroed queues, same raised samples)
+  including infeasibility agreement;
 * :func:`diff_simplex` — the native two-phase simplex + branch-and-bound
   vs exhaustive enumeration over small all-integer domains;
 * :func:`diff_cem_misleading` — CEM under *misleading* predictions
@@ -173,23 +173,22 @@ def diff_cem(case: CemCase) -> str | None:
 
 
 def diff_cem_vectorized(case: CemCase) -> str | None:
-    """Vectorized CEM passes vs the per-interval reference loop.
+    """The CEM projection vs :func:`cem_interval_loop`, bit for bit.
 
     Unlike :func:`diff_cem` (which accepts any equal-cost projection),
-    the vectorized rewrite promises *bit-exact* float64 agreement with
-    the loop it replaced — same zeroed queues, same raised samples, byte
-    for byte.  Infeasibility must also agree, though the two paths may
-    word their diagnostics differently.
+    the vectorized passes promise *bit-exact* float64 agreement with
+    the loop they replaced — same zeroed queues, same raised samples,
+    byte for byte.  Infeasibility must also agree, though the two paths
+    may word their diagnostics differently.
     """
     from repro.imputation.cem import CEMInfeasibleError, ConstraintEnforcer
 
     sample, imputed = case.build()
     config = case.switch_config()
-    reference = ConstraintEnforcer(config, vectorized=False)
-    vectorized = ConstraintEnforcer(config, vectorized=True)
+    vectorized = ConstraintEnforcer(config)
 
     try:
-        expected = reference.enforce(imputed, sample)
+        expected = cem_interval_loop(config, imputed, sample)
     except CEMInfeasibleError as error:
         try:
             vectorized.enforce(imputed, sample)
@@ -351,7 +350,7 @@ def diff_cem_misleading(case: CemCase) -> str | None:
 
     sample, imputed = case.build()
     config = case.switch_config()
-    enforcer = ConstraintEnforcer(config, vectorized=True)
+    enforcer = ConstraintEnforcer(config)
     MISLEADING_STATS.cases += 1
     try:
         corrected = enforcer.enforce(imputed, sample)
@@ -379,6 +378,101 @@ def diff_cem_misleading(case: CemCase) -> str | None:
         MISLEADING_STATS.max_emd = emd
         MISLEADING_STATS.worst_case = case.to_dict()
     return None
+
+
+def cem_interval_loop(config, imputed, sample):
+    """The per-interval CEM loop the vectorized passes replaced.
+
+    The bit-exact oracle for :meth:`repro.imputation.cem.
+    ConstraintEnforcer.enforce` at the default epsilon: clip at zero, pin
+    the sampled bins (C2), run C1-down, C3 and C1-up one port or queue
+    and one interval at a time, and validate the result.  Raises
+    :class:`~repro.imputation.cem.CEMInfeasibleError` where ``enforce``
+    would, though its diagnostic may name a different port or interval.
+    """
+    from repro.constraints.spec import NONEMPTY_EPSILON, check_constraints
+    from repro.imputation.cem import CEMInfeasibleError
+
+    eps = NONEMPTY_EPSILON
+    series = np.clip(np.asarray(imputed, dtype=float), 0.0, None)
+    series[:, sample.sample_positions] = sample.m_sample
+    interval = sample.interval
+    pinned = np.zeros(sample.num_bins, dtype=bool)
+    pinned[sample.sample_positions] = True
+
+    # C1-down: clip every bin to its interval's LANZ max.
+    for i in range(sample.num_intervals):
+        span = slice(i * interval, (i + 1) * interval)
+        np.minimum(series[:, span], sample.m_max[:, i : i + 1], out=series[:, span])
+
+    # C3: empty the cheapest non-pinned busy bins of an over-busy port.
+    for port in range(config.num_ports):
+        rows = list(config.queues_of_port(port))
+        for i in range(sample.num_intervals):
+            span = np.arange(i * interval, (i + 1) * interval)
+            mass = series[np.ix_(rows, span)].sum(axis=0)
+            busy = mass > eps
+            excess = int(busy.sum()) - int(sample.m_sent[port, i])
+            if excess <= 0:
+                continue
+            candidates = span[busy & ~pinned[span]]
+            if len(candidates) < excess:
+                raise CEMInfeasibleError(
+                    f"port {port} interval {i}: {int(busy.sum())} busy bins, "
+                    f"{int(sample.m_sent[port, i])} packets sent, but only "
+                    f"{len(candidates)} bins can be emptied"
+                )
+            costs = series[np.ix_(rows, candidates)].sum(axis=0)
+            cheapest = candidates[np.argsort(costs, kind="stable")[:excess]]
+            series[np.ix_(rows, cheapest)] = 0.0
+
+    # C1-up: raise one bin per queue and interval to the LANZ max.
+    port_of_queue = [
+        port for port in range(config.num_ports) for _ in config.queues_of_port(port)
+    ]
+    for queue in range(sample.num_queues):
+        port = port_of_queue[queue]
+        rows = list(config.queues_of_port(port))
+        for i in range(sample.num_intervals):
+            target = sample.m_max[queue, i]
+            if target <= 0:
+                continue  # C1-down already forced the interval to zero
+            span = np.arange(i * interval, (i + 1) * interval)
+            values = series[queue, span]
+            if values.max() >= target - 1e-9:
+                continue
+            port_mass = series[np.ix_(rows, span)].sum(axis=0)
+            busy = port_mass > eps
+            free = ~pinned[span]
+            budget = int(sample.m_sent[port, i]) - int(busy.sum())
+
+            busy_free = span[busy & free]
+            if len(busy_free) > 0:
+                # Raising where the port is already busy costs no C3
+                # budget; pick the bin needing the smallest raise.
+                best = busy_free[np.argmax(series[queue, busy_free])]
+            elif budget > 0:
+                idle_free = span[~busy & free]
+                if len(idle_free) == 0:
+                    raise CEMInfeasibleError(
+                        f"queue {queue} interval {i}: no bin available to "
+                        f"carry the measured max {target}"
+                    )
+                best = idle_free[np.argmax(series[queue, idle_free])]
+            else:
+                raise CEMInfeasibleError(
+                    f"queue {queue} interval {i}: max {target} cannot be "
+                    "placed without exceeding the sent-count bound"
+                )
+            series[queue, best] = target
+
+    report = check_constraints(series, sample, config)
+    if not report.satisfied:
+        raise CEMInfeasibleError(
+            f"correction left violations: max={report.max_error:.3g}, "
+            f"periodic={report.periodic_error:.3g}, sent={report.sent_error:.3g}"
+        )
+    return series
 
 
 def attention_node_chain(q, k, v, g, scale, mask=None, dropout=None):

@@ -121,7 +121,7 @@ def offline_windows(
             scaler=scaler,
         )
         if enforcer is None and use_cem:
-            enforcer = ConstraintEnforcer(dataset.switch_config, vectorized=True)
+            enforcer = ConstraintEnforcer(dataset.switch_config)
         for index, sample in enumerate(dataset.samples):
             imputed = model.impute(sample)
             if enforcer is not None:

@@ -1,4 +1,4 @@
-"""large_alloc_reuse and kernel_scope: allocator tuning is scoped and harmless."""
+"""large_alloc_reuse: allocator tuning is scoped and harmless."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from repro.autodiff import fused_kernels, fused_kernels_enabled, runtime
-from repro.autodiff.runtime import kernel_scope, large_alloc_reuse
+from repro.autodiff import runtime
+from repro.autodiff.runtime import large_alloc_reuse
 
 TUNE = [
     (runtime._M_MMAP_THRESHOLD, runtime._TUNED_BYTES),
@@ -44,6 +44,22 @@ class TestLargeAllocReuse:
             pass
         # Allocator still serves requests after restore.
         assert np.arange(1_000_000).dtype == np.int64
+
+    def test_libc_is_looked_up_once(self, monkeypatch):
+        # find_library runs ldconfig in a subprocess on every call.
+        calls = []
+        real = ctypes.util.find_library
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(ctypes.util, "find_library", counting)
+        runtime._mallopt.cache_clear()
+        for _ in range(3):
+            with large_alloc_reuse():
+                pass
+        assert len(calls) == 1
 
 
 class TestNestingRestoresOnlyAtTheOutermostExit:
@@ -118,39 +134,3 @@ class TestNestingRestoresOnlyAtTheOutermostExit:
         for start in range(0, len(calls), 4):
             assert calls[start:start + 4] == TUNE + RESTORE
         assert runtime._depth == 0
-
-
-class TestKernelScope:
-    def test_fused_scope_tunes_the_allocator_and_enables_fusion(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(runtime, "_mallopt", lambda: lambda p, v: calls.append((p, v)))
-        with fused_kernels(False):
-            with kernel_scope(True):
-                assert fused_kernels_enabled()
-                assert calls == TUNE
-            assert not fused_kernels_enabled()
-        assert calls == TUNE + RESTORE
-
-    def test_reference_scope_leaves_the_allocator_alone(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(runtime, "_mallopt", lambda: lambda p, v: calls.append((p, v)))
-        with kernel_scope(False):
-            assert not fused_kernels_enabled()
-        assert fused_kernels_enabled()
-        assert calls == []
-
-    def test_libc_is_looked_up_once(self, monkeypatch):
-        # find_library runs ldconfig in a subprocess on every call.
-        calls = []
-        real = ctypes.util.find_library
-
-        def counting(name):
-            calls.append(name)
-            return real(name)
-
-        monkeypatch.setattr(ctypes.util, "find_library", counting)
-        runtime._mallopt.cache_clear()
-        for _ in range(3):
-            with kernel_scope(True):
-                pass
-        assert len(calls) == 1

