@@ -17,13 +17,22 @@ are reduced back to the parent shape by :func:`_unbroadcast`.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether operations record the graph, per thread: a new thread
+    starts with recording on, whatever the thread that started it does."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 _DEFAULT_DTYPE = np.dtype(np.float64)
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -61,19 +70,19 @@ def default_dtype(dtype):
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording (e.g. for inference)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph recording (e.g. for inference)
+    in the calling thread."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _grad_mode.enabled = previous
 
 
 def grad_enabled() -> bool:
-    """Return whether operations currently record the autodiff graph."""
-    return _GRAD_ENABLED
+    """Return whether operations in this thread record the autodiff graph."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -17,7 +17,11 @@ otherwise) and then modified by dotted-path ``--set`` overrides.
 ``train``, ``impute`` and ``verify`` work on model files rather than
 reports, and pick their scenario with ``--profile paper|quick``.
 
-All subcommands are deterministic given their config/seed.
+All subcommands are deterministic given their config/seed.  The command
+runs OpenBLAS on one thread per process unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set (:func:`entry`), so float64 results do not
+depend on the machine and both CPUs of a two-CPU machine take the
+concurrent paths of :mod:`repro.utils.cpu`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+#: Variables that size OpenBLAS's thread pool; one the user set wins.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _version() -> str:
@@ -168,6 +173,8 @@ def _load_trained_model(args, selfcheck: bool = False):
 
 def cmd_impute(args) -> int:
     """Load a trained model, impute the test split, report consistency."""
+    import numpy as np
+
     from repro.constraints import check_constraints
     from repro.imputation import ConstraintEnforcer
 
@@ -344,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float32", "float64"),
         default="float32",
         help="training precision; float64 reproduces the reference kernels "
-        "bit-for-bit at a fixed BLAS thread count",
+        "bit-for-bit at a fixed BLAS thread count, which repro fixes at one "
+        "unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set",
     )
     p.add_argument("--out", type=Path, default=Path("model.npz"))
     p.add_argument(
@@ -492,5 +500,23 @@ def main(argv: list[str] | None = None) -> int:
             obs.finish()
 
 
+def entry() -> int:
+    """The ``repro`` command: fix the BLAS pool size, then run :func:`main`.
+
+    One OpenBLAS thread per process, unless the user chose a count.  The
+    variable is read when numpy loads OpenBLAS (this module does not
+    import numpy), and by every child process; if numpy has loaded
+    already, OpenBLAS's setter applies it.  Calling :func:`main`, or
+    importing ``repro``, leaves the process as it is.
+    """
+    if not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        if "numpy" in sys.modules:
+            from repro.utils.cpu import set_blas_threads
+
+            set_blas_threads(1)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

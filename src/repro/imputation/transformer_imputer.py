@@ -20,6 +20,7 @@ from repro.imputation.base import Imputer
 from repro.nn.layers import Linear
 from repro.nn.transformer import PositionalEncoding, TransformerEncoder
 from repro.telemetry.dataset import FeatureScaler, ImputationSample
+from repro.utils.cpu import split_halves
 from repro.utils.rng import RngLike, spawn_generators
 
 
@@ -82,9 +83,7 @@ class TransformerImputer(Module, Imputer):
     def impute(self, sample: ImputationSample) -> np.ndarray:
         """Impute one window; returns (Q, T) in packet units."""
         self.eval()
-        with no_grad():
-            pred = self.forward(Tensor(sample.features[None], dtype=self.dtype))
-        return self.scaler.denormalise_qlen(pred.numpy()[0])
+        return self._predict([sample])[0]
 
     def impute_batch(self, samples: list[ImputationSample]) -> list[np.ndarray]:
         """Impute many windows in one batched forward pass.
@@ -92,10 +91,18 @@ class TransformerImputer(Module, Imputer):
         The transformer treats batch items independently, so each result
         is identical to the corresponding :meth:`impute` call; batching
         just amortises the per-forward graph and GEMM dispatch overhead.
+        With a second CPU to spare, the second half of the windows is
+        forwarded on a helper thread beside the first
+        (:func:`~repro.utils.cpu.split_halves`): numpy releases the GIL
+        in the matmuls, exps and reductions that make up the forward.
         """
+        self.eval()
+        return split_halves(self._predict, samples)
+
+    def _predict(self, samples: list[ImputationSample]) -> list[np.ndarray]:
+        """One forward pass without a graph, in the calling thread."""
         if not samples:
             return []
-        self.eval()
         with no_grad():
             features = np.stack([s.features for s in samples])
             pred = self.forward(Tensor(features, dtype=self.dtype))

@@ -1,9 +1,11 @@
-"""What this process may run in parallel, and running it: :func:`fork_join`.
+"""What this process may run in parallel, and running it: :func:`fork_join`
+for work in a forked child, :func:`split_halves` for work on a helper thread.
 
-Two workloads in two processes each bring their own BLAS thread pool, so
-whether they may run side by side depends on that pool's size as well as
-on the CPU count.  The pool is read, never resized: in float64 the trained
-parameters depend on the BLAS thread count.
+Two workloads side by side each bring their own BLAS thread pool, so
+whether they may run in parallel depends on that pool's size as well as
+on the CPU count.  The library reads the pool, never resizes it: in
+float64 the trained parameters depend on the BLAS thread count.  Only the
+``repro`` command sets a default, once, as it starts (:func:`repro.cli.entry`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import ctypes
 import functools
 import multiprocessing
 import os
+import threading
 import traceback
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, TypeVar
@@ -30,6 +33,11 @@ _OPENBLAS_GETTERS = (
     "openblas_get_num_threads64_",
     "openblas_get_num_threads",
 )
+_OPENBLAS_SETTERS = tuple(name.replace("_get_", "_set_") for name in _OPENBLAS_GETTERS)
+
+#: Sides of a forked :func:`fork_join` this process is on: the caller's
+#: while ``caller()`` runs, and the whole of a forked child.
+_fork_sides = 0
 
 
 def usable_cpus() -> int:
@@ -40,7 +48,8 @@ def usable_cpus() -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_getter():
+def _openblas_function(names: tuple[str, ...], restype, *argtypes):
+    """The first of ``names`` exported by a loaded OpenBLAS, or ``None``."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = {
@@ -55,20 +64,28 @@ def _openblas_getter():
             library = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_GETTERS:
-            getter = getattr(library, name, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = []
-                return getter
+        for name in names:
+            function = getattr(library, name, None)
+            if function is not None:
+                function.restype = restype
+                function.argtypes = list(argtypes)
+                return function
     return None
 
 
 def blas_threads() -> int | None:
     """Threads numpy's OpenBLAS runs, or ``None`` when it cannot be read
     (another BLAS, or no ``/proc``)."""
-    getter = _openblas_getter()
+    getter = _openblas_function(_OPENBLAS_GETTERS, ctypes.c_int)
     return int(getter()) if getter is not None else None
+
+
+def set_blas_threads(threads: int) -> None:
+    """Resize numpy's OpenBLAS pool to ``threads``; a no-op on another
+    BLAS.  For a process entry point that starts after numpy loaded."""
+    setter = _openblas_function(_OPENBLAS_SETTERS, None, ctypes.c_int)
+    if setter is not None:
+        setter(threads)
 
 
 class ForkedChildError(RuntimeError):
@@ -92,25 +109,37 @@ class ForkedChildError(RuntimeError):
         self.exitcode = exitcode
 
 
-def _fork_possible() -> bool:
-    """Whether :func:`fork_join` may run its two sides in two processes.
+def _two_lanes() -> bool:
+    """Whether this process may run two workloads side by side.
 
-    Each process needs its BLAS pool to itself: with two threads each on
-    two CPUs, oversubscription made two trainings slower than running
-    them in sequence.  An unreadable pool counts as too large.  A
-    daemonic process (a supervisor attempt) may not start children.
+    Each needs a BLAS pool to itself: with two threads each on two CPUs,
+    oversubscription made two trainings slower than running them in
+    sequence.  An unreadable pool counts as too large.  A daemonic
+    process (a supervisor attempt) stays on one lane.
     """
     threads = blas_threads()
     return (
         threads is not None
         and 2 * threads <= usable_cpus()
-        and "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
     )
 
 
+def _fork_possible() -> bool:
+    """Whether :func:`fork_join` may run its two sides in two processes."""
+    return _two_lanes() and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _thread_possible() -> bool:
+    """Whether :func:`split_halves` may start its helper thread: not on
+    either side of a forked :func:`fork_join`, which holds both lanes."""
+    return _two_lanes() and not _fork_sides
+
+
 def _child_main(conn, work: Callable[[], object]) -> None:
     """Body of the forked child: run ``work``, send its result or its error."""
+    global _fork_sides
+    _fork_sides += 1
     try:
         message = ("ok", work())
     except BaseException as error:  # the parent re-raises it
@@ -170,8 +199,10 @@ def fork_join(
     ``task`` names the child's work in errors ("training the plain
     transformer").  A failure in the child raises
     :class:`ForkedChildError`; a failure here (``KeyboardInterrupt``
-    included) terminates and reaps the child.
+    included) terminates and reaps the child.  While both sides run,
+    :func:`split_halves` starts no helper in either process.
     """
+    global _fork_sides
     if not _fork_possible():
         return child(), caller()
     context = multiprocessing.get_context("fork")
@@ -181,6 +212,7 @@ def fork_join(
     )
     process.start()
     sender.close()
+    _fork_sides += 1
     try:
         caller_result = caller()
         child_result = _receive(receiver, process, task)
@@ -188,6 +220,50 @@ def fork_join(
         process.terminate()
         raise
     finally:
+        _fork_sides -= 1
         receiver.close()
         process.join()
     return child_result, caller_result
+
+
+def split_halves(work: Callable[[list[T]], list[U]], items: list[T]) -> list[U]:
+    """``work(items)``, with the second half of ``items`` on a helper thread.
+
+    ``work`` must map a list to one result per item, each independent of
+    the rest, so that ``work(items[:h]) + work(items[h:])`` equals
+    ``work(items)``.  It should spend its time where numpy releases the
+    GIL (BLAS calls, large ufuncs and reductions).  The caller runs
+    ``work`` on the first half while one short-lived thread runs it on
+    the second, under :func:`fork_join`'s gate (two BLAS pools fit the
+    usable CPUs, and the process is not daemonic) and outside both sides
+    of a forked :func:`fork_join`, which already holds both CPUs.
+    Otherwise, or for fewer than two items, ``work(items)`` runs here in
+    one call.
+
+    The thread is joined before this returns, so none outlives the call
+    and a later fork copies no idle pool.  A failure on the helper is
+    re-raised here; a failure here still waits for the helper.  The
+    helper starts in default thread state: grad mode on
+    (:func:`repro.autodiff.no_grad` is per thread).
+    """
+    if len(items) < 2 or not _thread_possible():
+        return work(items)
+    half = (len(items) + 1) // 2
+    outcome: list = []
+
+    def helper() -> None:
+        try:
+            outcome.append((True, work(items[half:])))
+        except BaseException as error:  # re-raised in the caller
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=helper, name="repro-split-halves", daemon=True)
+    thread.start()
+    try:
+        first = work(items[:half])
+    finally:
+        thread.join()
+    succeeded, second = outcome[0]
+    if not succeeded:
+        raise second
+    return first + second
