@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-BENCH_SCHEMA_VERSION = 1
+from repro.robustness.runner import BENCH_SCHEMA_VERSION
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

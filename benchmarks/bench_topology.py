@@ -93,6 +93,7 @@ def test_topology(bench_profile, results_dir):
     overhead = single_rate / fabric_rate
 
     assert set(fabric_trace.switches) == {"leaf0", "leaf1", "spine0"}
+    assert num_switches == 3
 
     write_bench_json(
         "topology",

@@ -3,9 +3,8 @@
 Mirrors the ``repro obs`` CLI subcommand so the tools work without the
 console entry point (e.g. in CI): ``summary`` renders metrics and trace
 tables, ``export`` wraps a JSONL trace for Perfetto, ``validate`` checks
-a trace (or event log) against a checked-in schema, ``top`` tails a
-live-status file as a terminal dashboard, and ``bench ingest``/``bench
-check`` maintain the bench-trajectory ledger and its regression gate.
+a trace (or event log) against a checked-in schema, and ``top`` tails a
+live-status file as a terminal dashboard.
 """
 
 from __future__ import annotations
@@ -75,50 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render one frame and exit (CI-friendly)",
     )
-
-    p_bench = sub.add_parser(
-        "bench", help="bench-trajectory ledger: record and gate BENCH_*.json"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    for name, help_text in (
-        ("ingest", "append current BENCH_*.json artifacts to the ledger"),
-        ("check", "fail (exit 1) when a tracked metric regressed vs baseline"),
-    ):
-        p = bench_sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--root",
-            default=".",
-            help="directory holding BENCH_*.json (default: current directory)",
-        )
-        p.add_argument(
-            "--ledger",
-            default=None,
-            help="ledger path (default: <root>/benchmarks/bench_history.jsonl)",
-        )
-        p.add_argument(
-            "--bench",
-            action="append",
-            default=None,
-            help="restrict to this bench name (repeatable)",
-        )
-        if name == "ingest":
-            p.add_argument(
-                "--baseline",
-                action="store_true",
-                help="mark the ingested entries as the reference baseline",
-            )
-        else:
-            p.add_argument(
-                "--tolerance",
-                type=float,
-                default=None,
-                help="fractional drift allowed before failing (default: 0.5)",
-            )
-            p.add_argument(
-                "--strict",
-                action="store_true",
-                help="also fail artifacts with no matching baseline",
-            )
     return parser
 
 
@@ -170,9 +125,6 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "top":
         return _run_top(args)
 
-    if args.command == "bench":
-        return _run_bench(args)
-
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -202,51 +154,6 @@ def _run_top(args: argparse.Namespace) -> int:
             time.sleep(max(args.interval, 0.05))
         except KeyboardInterrupt:
             return 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.obs import bench_history
-
-    if args.bench_command == "ingest":
-        entries = bench_history.ingest(
-            args.root, args.ledger, baseline=args.baseline, benches=args.bench
-        )
-        kind = "baseline" if args.baseline else "trajectory"
-        for entry in entries:
-            print(
-                f"ingested {entry['bench']} "
-                f"({str(entry['config_digest'])[:12]}) as {kind}"
-            )
-        if not entries:
-            print("no BENCH_*.json artifacts found", file=sys.stderr)
-            return 2
-        return 0
-
-    tolerance = (
-        bench_history.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    )
-    try:
-        lines, regressions = bench_history.check(
-            args.root,
-            args.ledger,
-            tolerance=tolerance,
-            benches=args.bench,
-            strict=args.strict,
-        )
-    except ValueError as exc:
-        print(f"bench check: {exc}", file=sys.stderr)
-        return 2
-    for line in lines:
-        print(line)
-    if regressions:
-        print(
-            f"bench check: {len(regressions)} regression(s) beyond "
-            f"±{tolerance:.0%}",
-            file=sys.stderr,
-        )
-        return 1
-    print("bench check: ok")
-    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:

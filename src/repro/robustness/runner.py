@@ -15,8 +15,7 @@ from typing import Union
 
 from repro.robustness.config import RobustnessConfig
 
-#: Mirrors ``benchmarks.bench_schema.BENCH_SCHEMA_VERSION`` — the runner
-#: must stay importable without the benchmarks directory on the path.
+#: Version of the ``BENCH_*.json`` shape (``benchmarks.bench_schema`` imports it).
 BENCH_SCHEMA_VERSION = 1
 
 
