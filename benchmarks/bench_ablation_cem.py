@@ -40,7 +40,7 @@ def tiny_windows():
 def test_greedy_vs_milp(benchmark, tiny_windows, results_dir):
     cfg, dataset, noisy = tiny_windows
     enforcer = ConstraintEnforcer(cfg)
-    milp = MilpCem(cfg, lp_backend="scipy")
+    milp = MilpCem(cfg)
 
     benchmark(enforcer.enforce, noisy[0], dataset[0])
 

@@ -42,7 +42,7 @@ def test_fm_scaling_curve(benchmark, fm_points, results_dir):
         fan_in=3,
     )
     benchmark.pedantic(
-        FMImputer(lp_backend="scipy", node_limit=2_000).impute,
+        FMImputer(node_limit=2_000).impute,
         args=(scenario,),
         rounds=1,
         iterations=1,

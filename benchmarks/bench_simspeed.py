@@ -79,6 +79,11 @@ def test_simspeed(bench_profile, results_dir, tmp_path):
     hit_seconds = time.perf_counter() - start
     assert cache.hits == 1 and cache.misses == 1
 
+    assert speedup >= required_speedup, (
+        f"array engine only {speedup:.1f}x faster (need >= {required_speedup}x)"
+    )
+    assert hit_seconds < miss_seconds
+
     write_bench_json(
         "simspeed",
         config=cache_scenario,
@@ -109,8 +114,3 @@ def test_simspeed(bench_profile, results_dir, tmp_path):
         f"({miss_seconds / hit_seconds:.0f}x)",
     ]
     save_result(results_dir, "simspeed.txt", "\n".join(lines))
-
-    assert speedup >= required_speedup, (
-        f"array engine only {speedup:.1f}x faster (need >= {required_speedup}x)"
-    )
-    assert hit_seconds < miss_seconds

@@ -95,6 +95,11 @@ def test_topology(bench_profile, results_dir):
     assert set(fabric_trace.switches) == {"leaf0", "leaf1", "spine0"}
     assert num_switches == 3
 
+    assert overhead <= max_overhead, (
+        f"fabric costs {overhead:.1f}x per switch-step "
+        f"(ceiling {max_overhead}x)"
+    )
+
     write_bench_json(
         "topology",
         config=config,
@@ -126,8 +131,3 @@ def test_topology(bench_profile, results_dir):
         f"flow mode, array:          {flow_steps / flow_arr_seconds:>12,.0f} steps/s",
     ]
     save_result(results_dir, "topology.txt", "\n".join(lines))
-
-    assert overhead <= max_overhead, (
-        f"fabric costs {overhead:.1f}x per switch-step "
-        f"(ceiling {max_overhead}x)"
-    )

@@ -82,6 +82,11 @@ def test_train_speed(bench_profile, results_dir, datasets, table1_config):
     cem_windows = len(cem_test.samples)
     cem_speedup = ref_cem_seconds / opt_cem_seconds
 
+    # Shared runners are noisy: require only that production is not
+    # slower than the references it replaced.
+    for name, speedup in (("training", train_speedup), ("CEM", cem_speedup)):
+        assert speedup >= 1.0, f"{name} only {speedup:.2f}x the reference"
+
     write_bench_json(
         "train",
         config=table1_config,
@@ -114,8 +119,3 @@ def test_train_speed(bench_profile, results_dir, datasets, table1_config):
         f"({cem_speedup:.1f}x, outputs bit-identical)",
     ]
     save_result(results_dir, "train_speed.txt", "\n".join(lines))
-
-    # Shared runners are noisy: require only that production is not
-    # slower than the references it replaced.
-    for name, speedup in (("training", train_speedup), ("CEM", cem_speedup)):
-        assert speedup >= 1.0, f"{name} only {speedup:.2f}x the reference"

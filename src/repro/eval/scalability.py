@@ -40,7 +40,6 @@ class ScalabilityConfig:
     horizons: tuple[int, ...] = (8, 16, 32)
     steps_per_interval: int = 4
     node_limit: int = 2_000
-    lp_backend: str = "scipy"
     seed: int = 0
     deadline: float | None = None
 
@@ -51,7 +50,6 @@ def run_scaling(config: ScalabilityConfig) -> "list[FmScalingPoint]":
         list(config.horizons),
         steps_per_interval=config.steps_per_interval,
         node_limit=config.node_limit,
-        lp_backend=config.lp_backend,
         seed=config.seed,
         deadline=config.deadline,
     )
@@ -97,7 +95,6 @@ def fm_scaling(
     horizons: list[int],
     steps_per_interval: int = 4,
     node_limit: int = 2_000,
-    lp_backend: str = "scipy",
     seed: RngLike = 0,
     deadline: float | None = None,
 ) -> list[FmScalingPoint]:
@@ -107,9 +104,8 @@ def fm_scaling(
     gets an independent traffic seed derived from ``seed`` so the curve is
     reproducible point by point.  ``node_limit`` bounds the search budget:
     hitting it is a *result* (the paper's "did not terminate"), not an
-    error.  The default LP backend is scipy for speed; pass ``"native"``
-    to run entirely on the from-scratch simplex (same search tree, slower
-    per node).
+    error.  The search is the from-scratch branch and bound; its LP
+    relaxations are solved with HiGHS.
     """
     base = as_generator(seed)
     seeds = [int(base.integers(0, 2**63)) for _ in horizons]
@@ -128,9 +124,7 @@ def fm_scaling(
                     num_intervals=horizon // steps_per_interval,
                     fan_in=3,
                 )
-                imputer = FMImputer(
-                    lp_backend=lp_backend, node_limit=node_limit, deadline=deadline
-                )
+                imputer = FMImputer(node_limit=node_limit, deadline=deadline)
                 result = imputer.impute(scenario)
                 span.annotate(status=result.status, nodes=result.nodes_explored)
                 obs.series("scalability.nodes_explored").append(result.nodes_explored)
@@ -162,7 +156,6 @@ def cem_timing(
     imputed_windows: list[np.ndarray],
     max_milp_windows: int = 3,
     milp_intervals: int = 1,
-    lp_backend: str = "scipy",
 ) -> CemTiming:
     """Time both CEM implementations on already-imputed windows.
 
@@ -182,7 +175,7 @@ def cem_timing(
 
     from repro.telemetry.dataset import crop_sample
 
-    milp = MilpCem(dataset.switch_config, lp_backend=lp_backend)
+    milp = MilpCem(dataset.switch_config)
     milp_total = 0.0
     solved = 0
     for sample, window in list(zip(dataset.samples, imputed_windows))[:max_milp_windows]:

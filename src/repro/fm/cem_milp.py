@@ -63,18 +63,16 @@ class MilpCem:
     def __init__(
         self,
         config: SwitchConfig,
-        lp_backend: str = "native",
         node_limit: int = 100_000,
         deadline: float | None = None,
     ):
         self.config = config
-        self.lp_backend = lp_backend
         self.node_limit = node_limit
         self.deadline = deadline
 
     def enforce(self, imputed: np.ndarray, sample: ImputationSample) -> MilpCemResult:
         """Solve the projection; returns the corrected series when optimal."""
-        with obs.span("cem.milp.enforce", backend=self.lp_backend) as span:
+        with obs.span("cem.milp.enforce") as span:
             result = self._enforce(imputed, sample)
             span.annotate(
                 status=result.status, nodes=result.nodes_explored,
@@ -94,11 +92,7 @@ class MilpCem:
         sampled = np.zeros(T, dtype=bool)
         sampled[sample.sample_positions] = True
 
-        solver = Solver(
-            lp_backend=self.lp_backend,
-            node_limit=self.node_limit,
-            deadline=self.deadline,
-        )
+        solver = Solver(node_limit=self.node_limit, deadline=self.deadline)
 
         # Queue-length variables with C1-upper baked into bounds.
         q_vars: list[list[RealVar]] = []

@@ -117,11 +117,9 @@ class FMImputer:
 
     def __init__(
         self,
-        lp_backend: str = "native",
         node_limit: int = 50_000,
         deadline: float | None = None,
     ):
-        self.lp_backend = lp_backend
         self.node_limit = node_limit
         self.deadline = deadline
 
@@ -146,11 +144,7 @@ class FMImputer:
                 if p_num <= 0 or p_den <= 0:
                     raise ValueError(f"alpha rationals must be positive, got {s.alpha}")
 
-        solver = Solver(
-            lp_backend=self.lp_backend,
-            node_limit=self.node_limit,
-            deadline=self.deadline,
-        )
+        solver = Solver(node_limit=self.node_limit, deadline=self.deadline)
 
         arr = [[IntVar(f"arr_{q}_{t}", 0, s.fan_in) for t in range(T)] for q in range(Q)]
         enq = [[IntVar(f"enq_{q}_{t}", 0, s.fan_in) for t in range(T)] for q in range(Q)]

@@ -1,13 +1,16 @@
 """Constraint Enforcement Module (CEM, §3.2).
 
 Corrects a model's imputed series so that constraints C1–C3 hold exactly,
-while changing the series as little as possible in L1 — the paper's
+aiming at the paper's minimal-change objective
 
     min Σ_{t ∉ T_samples} |Q̂c_r[q][t] − Q̂_r[q][t]|
 
-The paper solves this with Z3; here the projection is computed directly.
-The constraints decompose per coarse interval, and within an interval the
-optimal correction has a simple structure, handled in four passes:
+The paper solves this with Z3; here a correction is computed directly by
+four greedy passes per coarse interval.  What is checked is that the
+output satisfies C1–C3 exactly (or :class:`CEMInfeasibleError` is
+raised); its cost is *not* guaranteed L1-minimal — the passes can cost
+more than the MILP optimum of :class:`~repro.fm.cem_milp.MilpCem` (a
+4-bin case: 19.9 against 16.1, pinned in ``tests/imputation/test_cem.py``):
 
 1. **C2** — pin the sampled bins to their measured values (free: those
    bins are excluded from the objective).
@@ -16,8 +19,9 @@ optimal correction has a simple structure, handled in four passes:
    the max is the cheapest way.
 3. **C3** — per port×interval, if more bins are non-empty than packets
    were sent, zero out the cheapest non-pinned busy bins (cost = total
-   port queue mass at the bin) until the bound holds.  Zeroing the
-   cheapest bins is L1-minimal among subsets of the required size.
+   port queue mass at the bin) until the bound holds.  This picks the
+   kept bins by mass alone, without seeing which bins C1-up will need,
+   which is where the passes lose L1-minimality.
 4. **C1-up** — per queue×interval, if no bin attains the LANZ max, raise
    the best candidate bin to it: prefer bins where the port is already
    busy (no C3 budget needed) with the largest current value (smallest

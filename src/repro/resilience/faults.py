@@ -13,7 +13,7 @@ smoke job) can prove the corresponding recovery actually happens:
 * :func:`corrupt_cache_entry` — truncate or garbage-fill a
   :class:`~repro.switchsim.cache.TraceCache` entry on disk, exercising
   the quarantine-and-resimulate path;
-* :func:`stalling_lp` — an LP backend whose every solve sleeps, turning
+* :func:`stalling_lp` — a HiGHS LP solve that sleeps first, turning
   any branch-and-bound run into a stalled solver for deadline tests;
 * :class:`SteppingClock` — a fake monotonic clock advancing a fixed step
   per reading, for driving :class:`~repro.resilience.budget.Budget`
@@ -156,22 +156,19 @@ def corrupt_cache_entry(
     return path
 
 
-def stalling_lp(delay: float, base: str = "native"):
-    """An LP backend that sleeps ``delay`` seconds before every solve.
+def stalling_lp(delay: float):
+    """An LP solver that sleeps ``delay`` seconds before every HiGHS solve.
 
-    Pass the returned callable as ``lp_backend`` to
-    :func:`repro.smt.branch_bound.solve_milp` (or a :class:`~repro.smt.
-    solver.Solver`) to simulate a solver whose nodes have become slow —
-    the situation a wall-clock :class:`~repro.resilience.budget.Budget`
-    exists to bound.
+    Pass the returned callable as ``lp`` to
+    :func:`repro.smt.branch_bound.solve_milp` to simulate a solver whose
+    nodes have become slow — the situation a wall-clock
+    :class:`~repro.resilience.budget.Budget` exists to bound.
     """
-    from repro.smt.branch_bound import _BACKENDS
-
-    inner = _BACKENDS[base]
+    from repro.smt.simplex import solve_lp_scipy
 
     def stalled(problem, **kwargs):
         time.sleep(delay)
-        return inner(problem, **kwargs)
+        return solve_lp_scipy(problem, **kwargs)
 
     return stalled
 

@@ -1,4 +1,4 @@
-"""Branch-and-bound MILP solver on top of the LP backends.
+"""Branch-and-bound MILP solver over HiGHS LP relaxations.
 
 Depth-first search branching on the most fractional integer variable,
 pruning by LP bound against the incumbent.  Two budgets cap the search so
@@ -20,16 +20,9 @@ import numpy as np
 
 from repro.resilience.budget import Budget
 from repro.smt.milp import MilpProblem, MilpResult
-from repro.smt.simplex import solve_lp, solve_lp_scipy
+from repro.smt.simplex import solve_lp_scipy
 
 _INT_TOL = 1e-6
-
-LpBackend = Callable[..., MilpResult]
-
-_BACKENDS: dict[str, LpBackend] = {
-    "native": solve_lp,
-    "scipy": solve_lp_scipy,
-}
 
 
 @dataclass
@@ -50,7 +43,7 @@ class BranchBoundStats:
 
 def solve_milp(
     problem: MilpProblem,
-    lp_backend: str | LpBackend = "native",
+    lp: Callable[..., MilpResult] = solve_lp_scipy,
     node_limit: int = 200_000,
     first_feasible: bool = False,
     deadline: Budget | None = None,
@@ -59,9 +52,9 @@ def solve_milp(
 
     Args:
         problem: the MILP (minimisation).
-        lp_backend: "native" (from-scratch simplex) or "scipy" (HiGHS) —
-            or a callable with the ``solve_lp`` signature (used by the
-            fault injectors to simulate a stalled solver).
+        lp: the LP relaxation solver, with the ``solve_lp_scipy``
+            signature; a test hook (the fault injectors pass a stalled
+            one), not a choice of engine.
         node_limit: abort after exploring this many nodes; the result
             status becomes ``"node_limit"`` if no incumbent was found, or
             the incumbent is returned with ``hit_node_limit`` flagged.
@@ -73,12 +66,6 @@ def solve_milp(
             check granularity is one LP solve, so overshoot is bounded by
             a single node's cost.
     """
-    if callable(lp_backend):
-        lp = lp_backend
-    elif lp_backend in _BACKENDS:
-        lp = _BACKENDS[lp_backend]
-    else:
-        raise ValueError(f"unknown lp_backend {lp_backend!r}; use one of {list(_BACKENDS)}")
     integer_indices = problem.integer_indices
     stats = BranchBoundStats()
 

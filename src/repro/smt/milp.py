@@ -75,7 +75,7 @@ class MilpProblem:
         return [i for i, v in enumerate(self.variables) if v.is_integer]
 
     def dense(self) -> tuple[np.ndarray, list[np.ndarray], list[str], np.ndarray]:
-        """Dense (c, rows, senses, rhs) arrays for the LP backends."""
+        """Dense (c, rows, senses, rhs) arrays for the LP relaxation solver."""
         n = self.num_variables
         c = np.zeros(n)
         for i, coeff in self.objective.items():

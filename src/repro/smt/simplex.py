@@ -1,16 +1,11 @@
-"""From-scratch dense two-phase primal simplex LP solver.
+"""LP relaxations for the branch and bound, solved with HiGHS.
 
-Solves ``min c·x`` subject to general linear constraints and finite
-variable bounds.  Bounded variables are shifted to ``x = lo + u`` with
-``u >= 0`` and the upper bounds become explicit rows; inequalities gain
-slack/surplus variables; phase 1 introduces artificial variables and
-minimises their sum.  Bland's rule guarantees termination (no cycling) at
-the cost of speed — acceptable for the problem sizes this repo solves and
-deliberately reminiscent of the scaling wall the paper reports for
-FM-only imputation.
-
-``solve_lp_scipy`` wraps ``scipy.optimize.linprog`` (HiGHS) with the same
-interface; the test suite cross-checks the two.
+``solve_lp_scipy`` wraps ``scipy.optimize.linprog`` (``method="highs"``):
+it solves ``min c·x`` subject to the problem's linear rows and variable
+bounds, with optional per-variable bound overrides so branch and bound
+can tighten the box without copying the problem.  The search above it
+(:mod:`repro.smt.branch_bound`) is from scratch; the §2.3 blow-up comes
+from that complete search, not from the LP engine.
 """
 
 from __future__ import annotations
@@ -19,204 +14,28 @@ import numpy as np
 
 from repro.smt.milp import MilpProblem, MilpResult
 
-_TOL = 1e-9
-
-
-def _to_standard_form(
-    problem: MilpProblem,
-    lower_overrides: dict[int, float] | None = None,
-    upper_overrides: dict[int, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Build min c·u s.t. A u = b, u >= 0 from the bounded-variable MILP.
-
-    Returns (c, A, b, shift, n_structural) where ``x = shift + u[:n]``
-    recovers original variables.  Bound overrides let branch-and-bound
-    tighten bounds without copying the problem.
-    """
-    lower_overrides = lower_overrides or {}
-    upper_overrides = upper_overrides or {}
-    n = problem.num_variables
-    lo = np.array([v.lo for v in problem.variables])
-    hi = np.array([v.hi for v in problem.variables])
-    for i, value in lower_overrides.items():
-        lo[i] = max(lo[i], value)
-    for i, value in upper_overrides.items():
-        hi[i] = min(hi[i], value)
-    if (lo > hi + _TOL).any():
-        raise _InfeasibleBounds()
-
-    c_orig, rows, senses, rhs = problem.dense()
-
-    # Shift x = lo + u. Constraint rows: row·x sense rhs → row·u sense rhs - row·lo.
-    # Upper bounds become rows u_i <= hi_i - lo_i.
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    num_slacks = sum(1 for s in senses if s != "==") + n  # + upper-bound rows
-
-    total = n + num_slacks
-    slack_cursor = n
-    a_rows: list[np.ndarray] = []
-
-    for row, sense, b in zip(rows, senses, rhs):
-        shifted_rhs = b - row @ lo
-        full = np.zeros(total)
-        full[:n] = row
-        if sense == "<=":
-            full[slack_cursor] = 1.0
-            slack_cursor += 1
-        elif sense == ">=":
-            full[slack_cursor] = -1.0
-            slack_cursor += 1
-        a_rows.append(full)
-        eq_rhs.append(shifted_rhs)
-
-    span = hi - lo
-    for i in range(n):
-        full = np.zeros(total)
-        full[i] = 1.0
-        full[slack_cursor] = 1.0
-        slack_cursor += 1
-        a_rows.append(full)
-        eq_rhs.append(span[i])
-
-    a = np.array(a_rows) if a_rows else np.zeros((0, total))
-    b_vec = np.array(eq_rhs)
-
-    # Normalise to b >= 0 for phase 1.
-    negative = b_vec < 0
-    a[negative] *= -1
-    b_vec[negative] *= -1
-
-    c = np.zeros(total)
-    c[:n] = c_orig
-    return c, a, b_vec, lo, n
-
-
-class _InfeasibleBounds(Exception):
-    """Branching produced an empty box."""
-
-
-def _simplex_phase(
-    tableau: np.ndarray, basis: np.ndarray, max_iterations: int
-) -> str:
-    """Run primal simplex with Bland's rule on an augmented tableau.
-
-    ``tableau`` holds [A | b] with the objective row last ([reduced costs |
-    -objective]); mutated in place.  Returns "optimal" or
-    "iteration_limit".
-    """
-    m = tableau.shape[0] - 1
-    for _ in range(max_iterations):
-        cost_row = tableau[-1, :-1]
-        entering_candidates = np.nonzero(cost_row < -_TOL)[0]
-        if len(entering_candidates) == 0:
-            return "optimal"
-        entering = int(entering_candidates[0])  # Bland: smallest index
-
-        column = tableau[:m, entering]
-        rhs = tableau[:m, -1]
-        ratios = np.full(m, np.inf)
-        positive = column > _TOL
-        ratios[positive] = rhs[positive] / column[positive]
-        if not positive.any():
-            return "unbounded"
-        best = ratios.min()
-        # Bland: among ties, leave the row whose basic variable has the
-        # smallest index.
-        tie_rows = np.nonzero(ratios <= best + _TOL)[0]
-        leaving = int(tie_rows[np.argmin(basis[tie_rows])])
-
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for r in range(m + 1):
-            if r != leaving and abs(tableau[r, entering]) > _TOL:
-                tableau[r] -= tableau[r, entering] * tableau[leaving]
-        basis[leaving] = entering
-    return "iteration_limit"
-
-
-def solve_lp(
-    problem: MilpProblem,
-    lower_overrides: dict[int, float] | None = None,
-    upper_overrides: dict[int, float] | None = None,
-    max_iterations: int = 20000,
-) -> MilpResult:
-    """Solve the LP relaxation with the native two-phase simplex."""
-    try:
-        c, a, b, shift, n = _to_standard_form(problem, lower_overrides, upper_overrides)
-    except _InfeasibleBounds:
-        return MilpResult(status="infeasible")
-    m, total = a.shape
-
-    # Phase 1: minimise sum of artificials.
-    art = np.eye(m)
-    tableau = np.zeros((m + 1, total + m + 1))
-    tableau[:m, :total] = a
-    tableau[:m, total : total + m] = art
-    tableau[:m, -1] = b
-    # Phase-1 objective: sum of artificials, expressed in reduced form.
-    tableau[-1, :total] = -a.sum(axis=0)
-    tableau[-1, -1] = -b.sum()
-    basis = np.arange(total, total + m)
-
-    status = _simplex_phase(tableau, basis, max_iterations)
-    if status != "optimal":
-        return MilpResult(status=status)
-    if -tableau[-1, -1] > 1e-6:
-        return MilpResult(status="infeasible")
-
-    # Drive leftover artificial variables out of the basis where possible.
-    for row in range(m):
-        if basis[row] >= total:
-            pivot_candidates = np.nonzero(np.abs(tableau[row, :total]) > _TOL)[0]
-            if len(pivot_candidates) == 0:
-                continue  # redundant row
-            entering = int(pivot_candidates[0])
-            pivot = tableau[row, entering]
-            tableau[row] /= pivot
-            for r in range(m + 1):
-                if r != row and abs(tableau[r, entering]) > _TOL:
-                    tableau[r] -= tableau[r, entering] * tableau[row]
-            basis[row] = entering
-
-    # Phase 2: replace objective row, zero out artificial columns.
-    tableau[:, total : total + m] = 0.0
-    tableau[-1, :] = 0.0
-    tableau[-1, :total] = c
-    for row in range(m):
-        col = basis[row]
-        if col < total and abs(tableau[-1, col]) > _TOL:
-            tableau[-1] -= tableau[-1, col] * tableau[row]
-
-    status = _simplex_phase(tableau, basis, max_iterations)
-    if status == "unbounded":
-        return MilpResult(status="unbounded")
-    if status != "optimal":
-        return MilpResult(status=status)
-
-    solution = np.zeros(total)
-    for row in range(m):
-        if basis[row] < total:
-            solution[basis[row]] = tableau[row, -1]
-    x = shift + solution[:n]
-    c_orig = np.zeros(n)
-    for i, coeff in problem.objective.items():
-        c_orig[i] = coeff
-    return MilpResult(status="optimal", x=x, objective=float(c_orig @ x))
-
 
 def solve_lp_scipy(
     problem: MilpProblem,
     lower_overrides: dict[int, float] | None = None,
     upper_overrides: dict[int, float] | None = None,
 ) -> MilpResult:
-    """Solve the LP relaxation with scipy's HiGHS backend (cross-check)."""
+    """Solve the LP relaxation of ``problem`` under the bound overrides."""
     from scipy.optimize import linprog
 
     lower_overrides = lower_overrides or {}
     upper_overrides = upper_overrides or {}
     n = problem.num_variables
     c, rows, senses, rhs = problem.dense()
+    if n == 0:
+        # linprog rejects an empty cost vector; each row reads ``0 sense rhs``.
+        holds = all(
+            {"<=": b >= 0.0, ">=": b <= 0.0, "==": b == 0.0}[sense]
+            for sense, b in zip(senses, rhs)
+        )
+        if not holds:
+            return MilpResult(status="infeasible")
+        return MilpResult(status="optimal", x=np.zeros(0), objective=0.0)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row, sense, b in zip(rows, senses, rhs):
         if sense == "<=":

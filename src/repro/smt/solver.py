@@ -66,11 +66,9 @@ class Solver:
 
     def __init__(
         self,
-        lp_backend: str = "native",
         node_limit: int = 200_000,
         deadline: "float | Budget | None" = None,
     ):
-        self.lp_backend = lp_backend
         self.node_limit = node_limit
         # A float deadline starts a fresh Budget per solve (wall clock
         # measured from the check()/minimize() call); a Budget instance is
@@ -127,7 +125,6 @@ class Solver:
         start = time.perf_counter()
         result, stats = solve_milp(
             encoder.problem,
-            lp_backend=self.lp_backend,
             node_limit=self.node_limit,
             first_feasible=first_feasible,
             deadline=coerce_budget(self.deadline),

@@ -17,7 +17,7 @@ checks:
 * :mod:`repro.testing.differential` — harnesses that diff the fast
   implementations against their reference twins (ArraySwitchEngine vs the
   per-packet loop, combinatorial CEM vs the MILP formulation, the CEM
-  passes vs the per-interval loop they replaced, native simplex vs
+  passes vs the per-interval loop they replaced, branch and bound vs
   brute-force enumeration, the fused attention node vs the node chain it
   replaced);
 * :mod:`repro.testing.minimize` — greedy counterexample shrinking (bisect

@@ -20,8 +20,8 @@ detail string describing the first divergence:
   :func:`cem_interval_loop`, the per-interval loop they replaced,
   compared *bit-exactly* (same zeroed queues, same raised samples)
   including infeasibility agreement;
-* :func:`diff_simplex` — the native two-phase simplex + branch-and-bound
-  vs exhaustive enumeration over small all-integer domains;
+* :func:`diff_simplex` — branch-and-bound over HiGHS LP relaxations vs
+  exhaustive enumeration over small all-integer domains;
 * :func:`diff_cem_misleading` — CEM under *misleading* predictions
   (all-zeros / uniform-random inputs): the projection must still emit
   constraint-satisfying output (zero residual) or declare infeasibility,
@@ -137,7 +137,7 @@ def diff_cem(case: CemCase) -> str | None:
     sample, imputed = case.build()
     config = case.switch_config()
     enforcer = ConstraintEnforcer(config)
-    milp = MilpCem(config, lp_backend="scipy")
+    milp = MilpCem(config)
 
     try:
         greedy = enforcer.enforce(imputed, sample)
@@ -258,13 +258,13 @@ def _lp_case_brute_force(case: LpCase) -> int | None:
 
 
 def diff_simplex(case: LpCase) -> str | None:
-    """Native simplex + branch-and-bound vs brute-force enumeration."""
+    """Branch and bound (HiGHS relaxations) vs brute-force enumeration."""
     from repro.smt import Solver
 
     variables, formulas, objective = _lp_case_formulas(case)
     brute = _lp_case_brute_force(case)
 
-    solver = Solver(lp_backend="native")
+    solver = Solver()
     solver.add(*formulas)
     result = solver.minimize(objective)
 

@@ -36,7 +36,7 @@ from repro.testing.differential import (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.fuzz",
-        description="differential fuzzing of engine/CEM/simplex vs references",
+        description="differential fuzzing of engine/CEM/branch-and-bound vs references",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--engine-cases", type=int, default=40)

@@ -14,8 +14,8 @@ Four case families mirror the repo's fast/reference implementation pairs:
   per-packet loop;
 * :class:`CemCase` — a tiny simulated scenario plus a perturbed imputation,
   projected by both the combinatorial CEM and the MILP formulation;
-* :class:`LpCase` — a small all-integer MILP, solved by the native simplex
-  + branch-and-bound and by exhaustive enumeration;
+* :class:`LpCase` — a small all-integer MILP, solved by branch and bound
+  (HiGHS LP relaxations) and by exhaustive enumeration;
 * :class:`AttentionCase` — one fused attention call, compared bit for bit
   with the matmul/softmax/dropout/matmul node chain it replaced.
 
@@ -434,11 +434,11 @@ def shrink_cem_case(case: CemCase):
 
 
 # ----------------------------------------------------------------------
-# LP / simplex differential cases
+# LP / branch-and-bound differential cases
 # ----------------------------------------------------------------------
 @dataclass
 class LpCase:
-    """A small all-integer MILP, checkable by exhaustive enumeration."""
+    """A small all-integer MILP for branch and bound, checked by enumeration."""
 
     domains: list[int]  # variable i ranges over 0..domains[i]
     constraints: list[dict]  # {"coeffs": [...], "sense": "<="|">="|"==", "rhs": r}

@@ -33,7 +33,7 @@ class TestDtValidation:
             alpha=((1, 1),),
         )
         with pytest.raises(ValueError, match="per class"):
-            FMImputer(lp_backend="scipy").build(scenario)
+            FMImputer().build(scenario)
 
     def test_rejects_non_positive_alpha(self):
         trace = dt_trace({}, bins=4)
@@ -42,7 +42,7 @@ class TestDtValidation:
             alpha=((0, 1), (1, 1)),
         )
         with pytest.raises(ValueError, match="positive"):
-            FMImputer(lp_backend="scipy").build(scenario)
+            FMImputer().build(scenario)
 
 
 class TestDtSoundness:
@@ -55,7 +55,7 @@ class TestDtSoundness:
             trace, steps_per_interval=4, num_intervals=2, fan_in=1,
             alpha=ALPHA_ONE,
         )
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.is_sat
         np.testing.assert_array_equal(
             result.qlen.reshape(2, 2, 4).max(axis=2), scenario.m_max
@@ -73,7 +73,7 @@ class TestDtSoundness:
             trace, steps_per_interval=4, num_intervals=2, fan_in=3,
             alpha=ALPHA_ONE,
         )
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.is_sat
 
     def test_alpha_infinity_mode_cannot_explain_dt_drops(self):
@@ -85,7 +85,7 @@ class TestDtSoundness:
         scenario = scenario_from_trace(
             trace, steps_per_interval=4, num_intervals=2, fan_in=3, alpha=None
         )
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.status == "unsat"
 
 
@@ -105,7 +105,7 @@ class TestDtCompleteness:
         scenario.m_sample[0, 0] = 4
         scenario.m_received[0, 0] = 6
         scenario.m_sent[0, 0] = 2
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.status == "unsat"
 
     def test_rejects_drops_below_threshold(self):
@@ -120,5 +120,5 @@ class TestDtCompleteness:
         # Fabricate: same tiny maxima, but claim a drop happened.
         scenario.m_dropped[0, 0] = 1
         scenario.m_received[0, 0] += 1
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.status == "unsat"

@@ -42,7 +42,7 @@ class TestFMImputer:
         script = {0: [(0, 0), (0, 0)], 1: [(0, 0), (0, 1)], 4: [(0, 1), (0, 1)]}
         trace = tiny_trace(script, bins=8)
         scenario = scenario_from_trace(trace, steps_per_interval=4, num_intervals=2, fan_in=3)
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.is_sat
         qlen = result.qlen
         # Measurement constraints hold on the reconstruction.
@@ -59,13 +59,13 @@ class TestFMImputer:
         # Claim more packets were sent than could possibly arrive.
         scenario.m_sent[:] = 4
         scenario.m_received[:] = 1
-        result = FMImputer(lp_backend="scipy", node_limit=20_000).impute(scenario)
+        result = FMImputer(node_limit=20_000).impute(scenario)
         assert result.status == "unsat"
 
     def test_idle_switch_reconstructs_zeros(self):
         trace = tiny_trace({}, bins=4)
         scenario = scenario_from_trace(trace, steps_per_interval=4, num_intervals=1, fan_in=1)
-        result = FMImputer(lp_backend="scipy").impute(scenario)
+        result = FMImputer().impute(scenario)
         assert result.is_sat
         np.testing.assert_array_equal(result.qlen, 0)
 
@@ -78,7 +78,7 @@ class TestFMImputer:
             scenario = scenario_from_trace(
                 trace, steps_per_interval=4, num_intervals=bins // 4, fan_in=3
             )
-            result = FMImputer(lp_backend="scipy", node_limit=50_000).impute(scenario)
+            result = FMImputer(node_limit=50_000).impute(scenario)
             assert result.is_sat
             efforts.append(result.nodes_explored)
         assert efforts[1] >= efforts[0]
@@ -87,6 +87,6 @@ class TestFMImputer:
         script = {0: [(0, 0)] * 3, 1: [(0, 0)] * 3, 2: [(0, 0)] * 3}
         trace = tiny_trace(script, bins=4, buffer=4)
         scenario = scenario_from_trace(trace, steps_per_interval=4, num_intervals=1, fan_in=3)
-        result = FMImputer(lp_backend="scipy").impute(scenario)
+        result = FMImputer().impute(scenario)
         assert result.is_sat
         assert result.qlen.sum(axis=0).max() <= 4

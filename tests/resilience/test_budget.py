@@ -127,7 +127,7 @@ class TestSolverDeadline:
         start = time.perf_counter()
         result, stats = solve_milp(
             _knapsack_problem(),
-            lp_backend=stalling_lp(0.08),
+            lp=stalling_lp(0.08),
             deadline=Budget(deadline),
         )
         elapsed = time.perf_counter() - start

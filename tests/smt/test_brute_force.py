@@ -100,7 +100,7 @@ class TestBruteForce:
             for values in itertools.product(*(range(d + 1) for d in domains))
         )
 
-        solver = Solver(lp_backend="scipy")
+        solver = Solver()
         solver.add(*formulas)
         result = solver.check()
         assert result.status in ("sat", "unsat")
@@ -128,7 +128,7 @@ class TestBruteForce:
                 score = sum(c * v for c, v in zip(objective_coeffs, values))
                 best = score if best is None else min(best, score)
 
-        solver = Solver(lp_backend="scipy")
+        solver = Solver()
         solver.add(formula)
         result = solver.minimize(objective)
         if best is None:

@@ -54,6 +54,11 @@ class TestConstantsAndTrivia:
         s.add(x >= 0, BoolConst(False))
         assert s.check().status == "unsat"
 
+    def test_false_constant_without_variables(self):
+        s = Solver()
+        s.add(BoolConst(False))
+        assert s.check().status == "unsat"
+
     def test_negated_constant(self):
         s = Solver()
         s.add(Not(BoolConst(False)))

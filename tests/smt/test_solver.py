@@ -1,9 +1,6 @@
 """Tests for the solver facade: encoding, check, minimize, models."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.smt import And, BoolVar, Implies, IntVar, Ite, Not, Or, RealVar, Solver, Sum
 from repro.smt.branch_bound import solve_milp
@@ -149,29 +146,6 @@ class TestMinimize:
         assert result.model[x] == 3
 
 
-class TestBackendAgreement:
-    @given(st.integers(0, 5000))
-    @settings(max_examples=15, deadline=None)
-    def test_native_and_scipy_same_verdict(self, seed):
-        rng = np.random.default_rng(seed)
-        xs = [IntVar(f"x{i}", 0, int(rng.integers(2, 6))) for i in range(3)]
-        formulas = []
-        for _ in range(int(rng.integers(1, 4))):
-            coeffs = [int(rng.integers(-2, 3)) for _ in xs]
-            expr = Sum(c * x for c, x in zip(coeffs, xs))
-            rhs = int(rng.integers(-3, 8))
-            formulas.append(expr <= rhs if rng.random() < 0.5 else expr >= rhs)
-        if rng.random() < 0.5:
-            formulas.append(Or(xs[0] >= 1, xs[1] >= 1))
-
-        verdicts = {}
-        for backend in ("native", "scipy"):
-            s = Solver(lp_backend=backend)
-            s.add(*formulas)
-            verdicts[backend] = s.check().status
-        assert verdicts["native"] == verdicts["scipy"]
-
-
 class TestBranchBoundInternals:
     def test_node_limit_reported(self):
         p = MilpProblem()
@@ -193,10 +167,6 @@ class TestBranchBoundInternals:
         assert full.status == "optimal"
         assert quick.status == "optimal"
         assert full.objective <= quick.objective + 1e-9
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve_milp(MilpProblem(), lp_backend="cplex")
 
 
 class TestEncoderShortcuts:

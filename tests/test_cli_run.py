@@ -121,7 +121,7 @@ DEFAULT_DIGESTS = {
     "table1": "5e5bf99c907ea9189a1bbfbad9184227526922a3e54dfa70095e9210ab188227",
     "simulate": "5db8bbd28a28a111988109ff8db76de77ebe0239da197f9fda4686d5edc9310d",
     "serve": "0214e7ffb1dff8b3b0a2c93e08a65fe46a93b464588b80556bf6b9ee97523c8f",
-    "scalability": "b8a47c88ac29a99439d911d5c53c271ebbfd97b58988f3013c949a50523d357b",
+    "scalability": "ce8bf23303560c762e2829b1b30127ef7717e39edda0395ad7130d8b2e2d78e9",
 }
 
 
